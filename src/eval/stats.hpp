@@ -77,9 +77,9 @@ struct EvalStats {
   double warm_start_hit_rate() const;
 
   /// Every public field as a (canonical name, value) row, in declaration
-  /// order. The single source of truth for dumps: summary() renders it,
-  /// bench_snapshot emits it, and the OBSERVABILITY.md glossary test
-  /// cross-checks it — adding a field here keeps all three in sync.
+  /// order. The single source of truth for dumps: summary() renders it and
+  /// the OBSERVABILITY.md glossary test cross-checks it — adding a field
+  /// here keeps both in sync.
   std::vector<std::pair<const char*, double>> fields() const;
 
   /// One-line human-readable summary for logs and example binaries. Names

@@ -3,9 +3,8 @@
 // as interned constants. Call sites must use these (never ad-hoc string
 // literals) so that registry() stays the exhaustive catalog — the
 // OBSERVABILITY.md glossary is cross-checked against it by
-// tests/test_trace.cpp, and bench_snapshot keys its counter section off
-// the same names. Append-only: renaming a span breaks committed
-// BENCH_*.json baselines and any downstream trace tooling.
+// tests/test_trace.cpp. Append-only: renaming a span breaks exported
+// trace JSONL files and any downstream trace tooling.
 
 #include <vector>
 

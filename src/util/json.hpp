@@ -1,9 +1,8 @@
 #pragma once
 // Minimal JSON value + recursive-descent parser. Just enough for the
-// repo's own machine-readable artifacts — BENCH_*.json snapshots
-// (bench_diff), trace JSONL lines (tests/test_trace.cpp) — with no
-// external dependency. Objects preserve insertion order; numbers are
-// doubles (fine for ns/op and counters; exact for integers < 2^53).
+// repo's own machine-readable artifacts — trace JSONL lines
+// (tests/test_trace.cpp) — with no external dependency. Objects preserve
+// insertion order; numbers are doubles (exact for integers < 2^53).
 
 #include <string>
 #include <utility>

@@ -1,7 +1,7 @@
 // Tests for the evaluation-backend layer: decorator composition, cache
 // hit/miss accounting, failure memoization, serial-vs-batch equivalence,
-// corner fan-out parity with a serial reference loop, and a multi-threaded
-// cache smoke test.
+// corner fan-out parity with a serial reference loop, a multi-threaded
+// cache smoke test, and exact replay of the counters of fixed-seed runs.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "autockt/autockt.hpp"
 #include "circuits/problems.hpp"
 #include "circuits/sizing_problem.hpp"
 #include "eval/backend.hpp"
@@ -49,6 +50,16 @@ std::shared_ptr<eval::FunctionBackend> counting_backend(
         return SpecVector{sum, sum * 0.5};
       },
       "counting");
+}
+
+/// Every EvalStats field except sim_seconds (wall time), by name: the
+/// counters a fixed-seed serial run must reproduce exactly.
+std::map<std::string, double> counter_fields(const eval::EvalStats& stats) {
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : stats.fields()) {
+    if (std::string(name) != "sim_seconds") out[name] = value;
+  }
+  return out;
 }
 
 }  // namespace
@@ -368,8 +379,8 @@ TEST(Problems, PexCornerBackendMatchesSerialLoop) {
 /// Pin the stat-dump surface: fields() must name every public EvalStats
 /// field (in declaration order) and summary() must print every one of
 /// them. A new field that is added to the struct but forgotten in fields()
-/// — and therefore missing from trainer/deploy dumps, bench snapshots and
-/// the OBSERVABILITY.md glossary — fails here.
+/// — and therefore missing from trainer/deploy dumps and the
+/// OBSERVABILITY.md glossary — fails here.
 TEST(EvalStats, FieldsAndSummaryNameEveryPublicField) {
   const std::vector<std::string> expected = {
       "simulations",
@@ -425,4 +436,58 @@ TEST(EvalStats, FieldsReflectValues) {
   EXPECT_DOUBLE_EQ(by_name["dense_fallbacks"], 3.0);
   EXPECT_DOUBLE_EQ(by_name["warm_start_attempts"], 5.0);
   EXPECT_DOUBLE_EQ(by_name["sim_seconds"], 1.5);
+}
+
+/// A revisit pattern through the factory-default (cached) TIA stack: five
+/// evaluations of two distinct points are two misses and three hits, on
+/// every replay.
+TEST(Problems, TiaRevisitCacheCountersAreExact) {
+  const auto run = [] {
+    const auto prob = circuits::make_tia_problem();
+    prob.reset_eval_stats();  // the kernel counters are process-wide
+    const auto center = prob.center_params();
+    auto neighbor = center;
+    neighbor[0] += 1;
+    for (const int pick : {0, 1, 0, 0, 1}) {
+      EXPECT_TRUE(prob.evaluate(pick == 0 ? center : neighbor).ok());
+    }
+    return prob.eval_stats();
+  };
+  run();  // builds this thread's TIA workspace (one-off symbolic work)
+  const eval::EvalStats first = run();
+  EXPECT_EQ(first.cache_hits, 3);
+  EXPECT_EQ(first.cache_misses, 2);
+  EXPECT_EQ(first.simulations, 2);
+  EXPECT_EQ(counter_fields(first), counter_fields(run()));
+}
+
+/// A short fixed-seed synthetic PPO run with inline collection
+/// (num_workers=1) does the same evaluation work and reaches the same goal
+/// rates every time it is replayed.
+TEST(EvalStats, FixedSeedTrainingCountersAreReproducible) {
+  const auto run = [] {
+    auto problem = std::make_shared<const circuits::SizingProblem>(
+        test_support::make_synthetic_problem(3, 21));
+    core::AutoCktConfig config;
+    config.seed = 7;
+    config.env_config.horizon = 12;
+    config.train_target_count = 12;
+    config.ppo.max_iterations = 3;
+    config.ppo.steps_per_iteration = 300;
+    config.ppo.num_workers = 1;
+    config.holdout_target_count = 8;
+    config.holdout_interval = 2;
+    return core::train_agent(problem, config).history;
+  };
+  const auto first = run();
+  const auto second = run();
+  EXPECT_GT(first.eval_stats.simulations, 0);
+  EXPECT_EQ(counter_fields(first.eval_stats),
+            counter_fields(second.eval_stats));
+  ASSERT_EQ(first.iterations.size(), second.iterations.size());
+  for (std::size_t i = 0; i < first.iterations.size(); ++i) {
+    EXPECT_EQ(first.iterations[i].goal_rate, second.iterations[i].goal_rate)
+        << "iteration " << i;
+  }
+  EXPECT_EQ(first.final_holdout_goal_rate, second.final_holdout_goal_rate);
 }

@@ -1,7 +1,7 @@
 // Sparse simulation kernel: dense-vs-sparse parity across every analysis on
 // all four benchmark circuits (TIA, two-stage op-amp, negative-gm OTA, and
 // its PEX variant), warm-start determinism against the cold-start path, and
-// the kernel counters surfaced through EvalStats.
+// the kernel counters surfaced through EvalStats and replayed exactly.
 
 #include <gtest/gtest.h>
 
@@ -468,6 +468,39 @@ TEST(KernelStats, SurfaceThroughEvalStats) {
   const eval::EvalStats cleared = prob.eval_stats();
   EXPECT_EQ(cleared.newton_iterations, 0);
   EXPECT_EQ(cleared.warm_start_attempts, 0);
+}
+
+/// A warm-started TIA parameter walk, the shape of an RL trajectory, costs
+/// exactly the same kernel work (Newton iterations, factorizations,
+/// warm-start hits) every time it is replayed.
+TEST(KernelStats, TiaWarmWalkCountersAreReproducible) {
+  const auto card = spice::TechCard::ptm45();
+  const auto walk = [&] {
+    spice::reset_kernel_stats();
+    eval::OpHint hint;
+    for (int i = 0; i < 16; ++i) {
+      circuits::TiaParams p;
+      p.mn = 8 + (i % 4);
+      circuits::TiaBuildOptions opt;
+      opt.kernel = SimKernel::Sparse;
+      opt.hint = &hint;
+      EXPECT_TRUE(circuits::simulate_tia(p, card, opt).ok());
+    }
+    return spice::kernel_stats_snapshot();
+  };
+  walk();  // builds this thread's TIA workspace (one-off symbolic work)
+  const spice::KernelStats a = walk();
+  const spice::KernelStats b = walk();
+  EXPECT_GT(a.newton_iterations, 0);
+  EXPECT_EQ(a.newton_iterations, b.newton_iterations);
+  EXPECT_EQ(a.symbolic_factorizations, b.symbolic_factorizations);
+  EXPECT_EQ(a.numeric_factorizations, b.numeric_factorizations);
+  EXPECT_EQ(a.dense_fallbacks, b.dense_fallbacks);
+  // Every step after the first warm-starts from its predecessor.
+  EXPECT_EQ(a.warm_start_attempts, 15);
+  EXPECT_EQ(a.warm_start_hits, 15);
+  EXPECT_EQ(b.warm_start_attempts, 15);
+  EXPECT_EQ(b.warm_start_hits, 15);
 }
 
 TEST(KernelStats, EnvInvalidatesHintsOnReset) {

@@ -321,7 +321,7 @@ TEST(Trace, ObservabilityGlossaryCoversNameRegistry) {
 }
 
 /// ... and every EvalStats field, since the same document explains the
-/// counters that bench snapshots and stat dumps print.
+/// counters that stat dumps print.
 TEST(Trace, ObservabilityGlossaryCoversEvalStatsFields) {
   const std::string doc = read_doc("docs/OBSERVABILITY.md");
   ASSERT_FALSE(doc.empty()) << "docs/OBSERVABILITY.md missing or unreadable";
