@@ -39,21 +39,33 @@ void train_discriminator(nn::Mlp& disc, nn::Adam& opt,
   std::vector<std::size_t> order(xs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   constexpr std::size_t kBatch = 32;
+  const std::size_t width = xs.front().size();
+  std::vector<double> batch_x;
+  std::vector<double> d_z;
+  nn::Mlp::Trace trace;
   for (int e = 0; e < epochs; ++e) {
     for (std::size_t i = order.size(); i-- > 1;) {
       std::swap(order[i], order[rng.bounded(i + 1)]);
     }
     for (std::size_t start = 0; start < order.size(); start += kBatch) {
       const std::size_t stop = std::min(start + kBatch, order.size());
-      const double inv_b = 1.0 / static_cast<double>(stop - start);
-      disc.zero_grad();
-      for (std::size_t k = start; k < stop; ++k) {
-        const std::size_t idx = order[k];
-        nn::Mlp::Trace trace = disc.forward_trace(xs[idx]);
-        const double z = trace.output[0];
-        const double sig = 1.0 / (1.0 + std::exp(-z));
-        disc.backward(trace, {(sig - ys[idx]) * inv_b});
+      const std::size_t rows = stop - start;
+      const double inv_b = 1.0 / static_cast<double>(rows);
+      batch_x.resize(rows * width);
+      for (std::size_t k = 0; k < rows; ++k) {
+        const std::vector<double>& x = xs[order[start + k]];
+        std::copy(x.begin(), x.end(),
+                  batch_x.begin() + static_cast<std::ptrdiff_t>(k * width));
       }
+      disc.forward_trace(batch_x, static_cast<int>(rows), trace);
+      d_z.resize(rows);
+      for (std::size_t k = 0; k < rows; ++k) {
+        const double z = trace.output()[k];
+        const double sig = 1.0 / (1.0 + std::exp(-z));
+        d_z[k] = (sig - ys[order[start + k]]) * inv_b;
+      }
+      disc.zero_grad();
+      disc.backward(trace, d_z);
       opt.step(disc.params(), disc.grads());
     }
   }

@@ -5,9 +5,15 @@
 // policy/value networks (paper: three layers of 50 neurons) and for the
 // GA+ML baseline's discriminator.
 //
-// Inference (`forward`) is const and allocation-light, so multiple rollout
-// workers can query one frozen network concurrently.
+// Every pass is batched: forward, forward_batch and forward_trace share one
+// register-blocked forward kernel, backward one set of backward kernels, and
+// a single row is just rows = 1. Inference (`forward`, `forward_batch`) is
+// const, so multiple rollout workers can query one frozen network
+// concurrently. DESIGN.md §6 ("Batched update") gives the layout and the
+// accumulation-order contract that keeps results bitwise independent of
+// the batch size.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -21,35 +27,59 @@ class Mlp {
  public:
   /// layer_sizes = {in, hidden..., out}. Hidden layers use `act`; the output
   /// layer is linear with weights scaled by `final_scale` at init (small
-  /// values keep an initial policy near-uniform, which PPO likes).
+  /// values keep an initial policy near-uniform, which PPO likes). Throws
+  /// std::invalid_argument for fewer than two sizes or a size below 1.
   Mlp(std::vector<int> layer_sizes, Activation act, std::uint64_t seed,
       double final_scale = 1.0);
 
   int input_size() const { return sizes_.front(); }
   int output_size() const { return sizes_.back(); }
 
-  /// Thread-safe inference.
+  /// Thread-safe inference of one input vector: forward_batch(x, 1).
   std::vector<double> forward(const std::vector<double>& x) const;
 
   /// Batched thread-safe inference: `x` holds `rows` input vectors stacked
   /// row-major (rows * input_size values); returns rows * output_size,
-  /// row-major. One matrix–matrix pass per layer, reusing each weight row
-  /// across the whole batch; per-row accumulation order is identical to
-  /// forward(), so row i equals forward(row i) bitwise.
+  /// row-major. Each output is accumulated in the same order whatever the
+  /// batch size, so row i equals forward(row i) bitwise.
   std::vector<double> forward_batch(const std::vector<double>& x,
                                     int rows) const;
 
-  /// Cached activations for one forward pass, consumed by backward().
-  struct Trace {
-    std::vector<std::vector<double>> inputs;  // input to each layer
-    std::vector<double> output;
-  };
-  Trace forward_trace(const std::vector<double>& x) const;
+  /// Activations of one batched forward pass, recorded by forward_trace()
+  /// and consumed by backward(). The buffers are kept between calls, so a
+  /// training loop that reuses one Trace allocates only on its first
+  /// minibatch.
+  class Trace {
+   public:
+    int rows() const { return rows_; }
+    /// rows x output_size, row-major.
+    const std::vector<double>& output() const { return output_; }
 
-  /// Accumulate parameter gradients given dLoss/dOutput for the pass
-  /// recorded in `trace`. Returns dLoss/dInput.
-  std::vector<double> backward(const Trace& trace,
-                               const std::vector<double>& d_output);
+   private:
+    friend class Mlp;
+    int rows_ = 0;
+    std::size_t ld_ = 0;  // rows rounded up to the kernels' row block
+    // acts_[l] is layer l's input (acts_.back() the network output),
+    // feature-major: feature f of row r at f * ld_ + r.
+    std::vector<std::vector<double>> acts_;
+    std::vector<double> output_;
+    // backward() scratch: gradients in the feature-major layout, and the
+    // layer input regrouped into column panels.
+    std::vector<double> grad_, grad_next_, input_panels_;
+  };
+
+  /// Forward pass over `rows` inputs stacked row-major (as forward_batch),
+  /// recording every layer's activations in `trace`.
+  void forward_trace(const std::vector<double>& x, int rows,
+                     Trace& trace) const;
+
+  /// Accumulate parameter gradients (grads() +=) for the pass recorded in
+  /// `trace`, given dLoss/dOutput as rows x output_size, row-major. Every
+  /// gradient entry sums its per-row terms in row order, so a batch gives
+  /// the same bits as one call per row in that order. When `d_input` is
+  /// non-null it receives dLoss/dInput (rows x input_size, row-major).
+  void backward(Trace& trace, const std::vector<double>& d_output,
+                std::vector<double>* d_input = nullptr);
 
   void zero_grad();
 
@@ -59,7 +89,9 @@ class Mlp {
 
   std::size_t param_count() const { return params_.size(); }
 
-  /// Text serialization (architecture + weights).
+  /// Text serialization (architecture + weights). load() reports any
+  /// malformed input, including an invalid architecture, as
+  /// std::runtime_error.
   void save(std::ostream& out) const;
   static Mlp load(std::istream& in);
 
@@ -70,7 +102,6 @@ class Mlp {
   };
 
   double activate(double v) const;
-  double activate_grad(double pre) const;
 
   std::vector<int> sizes_;
   Activation act_;

@@ -280,6 +280,19 @@ TrainHistory PpoAgent::train(
   long cumulative_steps = 0;
   int patience_hits = 0;
 
+  // PPO-update buffers, sized on the first minibatch and reused by every
+  // later one: the minibatch's observations (row-major), both nets' traces,
+  // and the loss gradients with respect to their outputs.
+  const std::size_t logits_width =
+      static_cast<std::size_t>(num_params_) * kActions;
+  std::vector<double> mb_obs;
+  nn::Mlp::Trace policy_trace;
+  nn::Mlp::Trace value_trace;
+  std::vector<double> d_logits;
+  std::vector<double> d_values;
+  std::vector<std::vector<double>> head_probs(
+      static_cast<std::size_t>(num_params_));
+
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     trace::TraceSpan iteration_span(trace::names::kRlIteration);
     // ---- 1. Vectorized rollout collection -------------------------------
@@ -511,24 +524,34 @@ TrainHistory PpoAgent::train(
            start += static_cast<std::size_t>(config_.minibatch)) {
         const std::size_t stop = std::min(
             start + static_cast<std::size_t>(config_.minibatch), order.size());
-        const double inv_b = 1.0 / static_cast<double>(stop - start);
+        const std::size_t rows = stop - start;
+        const double inv_b = 1.0 / static_cast<double>(rows);
 
-        policy_.zero_grad();
-        value_.zero_grad();
+        // Both nets see the minibatch as one row-major observation matrix.
+        mb_obs.resize(rows * obs_width);
+        for (std::size_t k = 0; k < rows; ++k) {
+          const std::vector<double>& obs = batch[order[start + k]]->obs;
+          std::copy(obs.begin(), obs.end(),
+                    mb_obs.begin() +
+                        static_cast<std::ptrdiff_t>(k * obs_width));
+        }
+        policy_.forward_trace(mb_obs, static_cast<int>(rows), policy_trace);
+        value_.forward_trace(mb_obs, static_cast<int>(rows), value_trace);
+        const std::vector<double>& logits = policy_trace.output();
+        d_logits.assign(rows * logits_width, 0.0);
+        d_values.resize(rows);
 
-        for (std::size_t k = start; k < stop; ++k) {
-          const std::size_t idx = order[k];
+        for (std::size_t k = 0; k < rows; ++k) {
+          const std::size_t idx = order[start + k];
           const Transition& tr = *batch[idx];
           const double adv = advantages[idx];
 
-          // Policy pass.
-          nn::Mlp::Trace trace = policy_.forward_trace(tr.obs);
+          // Policy terms.
           double logp_new = 0.0;
-          std::vector<std::vector<double>> head_probs(
-              static_cast<std::size_t>(num_params_));
           for (int h = 0; h < num_params_; ++h) {
             head_probs[static_cast<std::size_t>(h)] = nn::softmax_slice(
-                trace.output, static_cast<std::size_t>(h) * kActions,
+                logits,
+                k * logits_width + static_cast<std::size_t>(h) * kActions,
                 kActions);
             logp_new += std::log(std::max(
                 head_probs[static_cast<std::size_t>(h)]
@@ -546,8 +569,7 @@ TrainHistory PpoAgent::train(
           const double dlogp =
               unclipped <= clipped ? -ratio * adv * inv_b : 0.0;
 
-          std::vector<double> d_logits(
-              static_cast<std::size_t>(num_params_ * kActions), 0.0);
+          double* d_row = d_logits.data() + k * logits_width;
           for (int h = 0; h < num_params_; ++h) {
             const auto& probs = head_probs[static_cast<std::size_t>(h)];
             const double ent = nn::entropy(probs);
@@ -562,20 +584,21 @@ TrainHistory PpoAgent::train(
               //   Loss -= c_H * H  =>  dLoss/dz += c_H * p (log p + H).
               g += config_.entropy_coef * inv_b * p *
                    (std::log(std::max(p, 1e-12)) + ent);
-              d_logits[off + static_cast<std::size_t>(j)] += g;
+              d_row[off + static_cast<std::size_t>(j)] += g;
             }
           }
-          policy_.backward(trace, d_logits);
 
-          // Value pass.
-          nn::Mlp::Trace vtrace = value_.forward_trace(tr.obs);
-          const double v = vtrace.output[0];
-          const double err = v - returns[idx];
+          // Value terms.
+          const double err = value_trace.output()[k] - returns[idx];
           value_loss_acc += 0.5 * err * err;
-          value_.backward(vtrace, {err * inv_b});
+          d_values[k] = err * inv_b;
           ++loss_terms;
         }
 
+        policy_.zero_grad();
+        value_.zero_grad();
+        policy_.backward(policy_trace, d_logits);
+        value_.backward(value_trace, d_values);
         clip_grad_norm(policy_.grads(), config_.max_grad_norm);
         clip_grad_norm(value_.grads(), config_.max_grad_norm);
         opt_policy.step(policy_.params(), policy_.grads());
@@ -647,13 +670,23 @@ PpoAgent PpoAgent::load(std::istream& in) {
   std::string magic;
   int obs_size = 0, num_params = 0;
   in >> magic >> obs_size >> num_params;
-  if (magic != "ppo_agent") {
+  if (!in || magic != "ppo_agent" || obs_size < 1 || num_params < 1) {
     throw std::runtime_error("PpoAgent::load: bad header");
+  }
+  nn::Mlp policy = nn::Mlp::load(in);
+  nn::Mlp value = nn::Mlp::load(in);
+  const long long logits = static_cast<long long>(num_params) * kActions;
+  if (policy.input_size() != obs_size || policy.output_size() != logits ||
+      value.input_size() != obs_size || value.output_size() != 1) {
+    throw std::runtime_error(
+        "PpoAgent::load: networks do not match the header's obs_size " +
+        std::to_string(obs_size) + " and num_params " +
+        std::to_string(num_params));
   }
   PpoConfig config;
   PpoAgent agent(obs_size, num_params, config);
-  agent.policy_ = nn::Mlp::load(in);
-  agent.value_ = nn::Mlp::load(in);
+  agent.policy_ = std::move(policy);
+  agent.value_ = std::move(value);
   return agent;
 }
 

@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 
+#include "baselines/ga_ml.hpp"
 #include "rl/ppo.hpp"
 #include "test_helpers.hpp"
 
@@ -173,6 +174,32 @@ TEST(PpoAgent, SaveLoadRoundTrip) {
 TEST(PpoAgent, LoadRejectsGarbage) {
   std::stringstream ss("bogus");
   EXPECT_THROW(rl::PpoAgent::load(ss), std::runtime_error);
+
+  // Networks whose shapes disagree with the header, or are malformed.
+  auto saved_net = [](const std::vector<int>& sizes) {
+    std::stringstream net;
+    nn::Mlp(sizes, nn::Activation::Tanh, 1).save(net);
+    return net.str();
+  };
+  const std::string policy = saved_net({9, 50, 9});  // 3 params x 3 actions
+  const std::string value = saved_net({9, 50, 1});
+  for (const std::string& text : {
+           "ppo_agent 8 3\n" + policy + value,       // obs_size mismatch
+           "ppo_agent 9 4\n" + policy + value,       // num_params mismatch
+           "ppo_agent 9 3\n" + policy + saved_net({9, 50, 2}),  // value out
+           "ppo_agent 9 3\n" + policy + saved_net({7, 50, 1}),  // value in
+           "ppo_agent 9 3\n" + policy,               // missing value net
+           "ppo_agent 0 3\n" + policy + value,       // empty observation
+           "ppo_agent 9 3\nmlp 3\n9 0 9\ntanh\n" + value,
+           "ppo_agent 9 3\nmlp 3\n9 -5 9\ntanh\n" + value,
+       }) {
+    std::stringstream in(text);
+    EXPECT_THROW(rl::PpoAgent::load(in), std::runtime_error)
+        << text.substr(0, 40);
+  }
+  // The well-formed combination loads.
+  std::stringstream good("ppo_agent 9 3\n" + policy + value);
+  EXPECT_NO_THROW(rl::PpoAgent::load(good));
 }
 
 TEST(PpoConfig, ValidateRejectsNonpositiveRolloutShape) {
@@ -470,4 +497,72 @@ TEST(PpoAgent, SingleWorkerMatchesConfig) {
   EXPECT_EQ(history.iterations.size(), 2u);
   EXPECT_GE(history.iterations[0].cumulative_env_steps,
             config.steps_per_iteration);
+}
+
+// ---- golden pins --------------------------------------------------------
+// Fixed-seed results written out as %.17g literals. They were produced by
+// the per-sample update loop that the batched minibatch kernels replaced,
+// so they pin the kernels' accumulation-order contract end to end: any
+// reordering of a sum shows up here as a changed bit.
+
+TEST(GoldenPin, SyntheticPpoIterationStats) {
+  auto prob = synth();
+  env::EnvConfig env_config;
+  env_config.horizon = 10;
+  env::SizingEnv probe(prob, env_config);
+  rl::PpoConfig config;
+  config.num_workers = 1;
+  config.max_iterations = 2;
+  config.epochs = 2;
+  config.steps_per_iteration = 300;
+  config.minibatch = 48;  // 313 and 314 transitions: a ragged last minibatch
+  config.seed = 29;
+  rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
+  util::Rng rng(31);
+  const auto targets = env::sample_targets(*prob, 8, rng);
+  const auto history = agent.train(
+      [prob, env_config] { return env::SizingEnv(prob, env_config); },
+      targets);
+
+  struct Pin {
+    long env_steps;
+    double goal_rate, mean_episode_reward, policy_loss, value_loss, entropy;
+  };
+  const Pin pins[] = {
+      {313, 0.28947368421052633, 2.5816126433416251, -0.0010560425024020059,
+       5.2037953998696631, 1.0986080373342144},
+      {627, 0.34210526315789475, 3.0910774625465405, -0.0017143676928280686,
+       6.3968063736777241, 1.0985703596503669},
+  };
+  ASSERT_EQ(history.iterations.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const rl::IterationStats& s = history.iterations[i];
+    EXPECT_EQ(s.cumulative_env_steps, pins[i].env_steps) << "iteration " << i;
+    EXPECT_EQ(s.goal_rate, pins[i].goal_rate) << "iteration " << i;
+    EXPECT_EQ(s.mean_episode_reward, pins[i].mean_episode_reward)
+        << "iteration " << i;
+    EXPECT_EQ(s.policy_loss, pins[i].policy_loss) << "iteration " << i;
+    EXPECT_EQ(s.value_loss, pins[i].value_loss) << "iteration " << i;
+    EXPECT_EQ(s.entropy, pins[i].entropy) << "iteration " << i;
+  }
+}
+
+TEST(GoldenPin, GaMlResult) {
+  // A target first met in the fourth generation, so the discriminator is
+  // trained three times (20, 50 and 80 rows) before the pinned result.
+  auto prob = synth();
+  baselines::GaMlConfig config;
+  config.ga.max_evals = 400;
+  config.ga.population = 20;
+  config.ga.seed = 6;
+  config.seed = 6;
+  const auto r = baselines::run_ga_ml(*prob, {12.85, 4.05, 1.47}, config);
+  EXPECT_TRUE(r.reached);
+  EXPECT_EQ(r.evals_to_reach, 96);
+  EXPECT_EQ(r.total_evals, 96);
+  EXPECT_EQ(r.best_reward, -0.002867632049344794);
+  EXPECT_EQ(r.best_params, (circuits::ParamVector{19, 20, 19}));
+  EXPECT_EQ(r.best_specs,
+            (SpecVector{12.800000000000001, 4.0666666666666664,
+                        1.4666666666666666}));
 }
