@@ -2,10 +2,10 @@
 // Deck-defined sizing problems: compile a SPICE deck carrying .param/.spec/
 // .measure sizing declarations (spice/netlist_parser.hpp) into a full
 // SizingProblem — ParamDefs from the .param grids, SpecDefs from the .spec
-// declarations, and a measurement pipeline that instantiates the deck at
-// each visited design point and runs the requested analyses through the
-// sparse SimWorkspace kernel with SimHint warm starts, behind the standard
-// evaluation-backend stack from ProblemOptions.
+// declarations, and an evaluator that instantiates the deck at each
+// visited design point and runs the requested analyses through the shared
+// lane pipeline (circuits/pipeline.hpp) with SimHint warm starts, behind
+// the standard evaluation-backend stack from ProblemOptions.
 //
 // This is what turns scenario diversity from a code change into a file
 // drop: any .cir deck with sizing declarations trains through the exact

@@ -2,10 +2,7 @@
 
 #include <cmath>
 
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
-#include "spice/measure.hpp"
+#include "circuits/pipeline.hpp"
 #include "spice/units.hpp"
 
 namespace autockt::circuits {
@@ -17,56 +14,19 @@ constexpr int kBiasDiodeFins = 24;
 constexpr double kChannelLengthFactor = 2.0;
 constexpr double kVcmFraction = 0.6;
 
-spice::DcOptions ngm_dc_options(const spice::Circuit& ckt,
-                                const spice::TechCard& card,
-                                spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
-  using namespace spice;
+std::vector<double> ngm_initial_node_v(const spice::Circuit& ckt,
+                                       const spice::TechCard& card) {
   const double vcm = kVcmFraction * card.vdd;
-  DcOptions dc_opt;
-  dc_opt.kernel = kernel;
-  dc_opt.workspace = ws;
-  dc_opt.initial_node_v.assign(ckt.num_nodes(), 0.0);
-  dc_opt.initial_node_v[ckt.node("vdd")] = card.vdd;
-  dc_opt.initial_node_v[ckt.node("inp")] = vcm;
-  dc_opt.initial_node_v[ckt.node("inn")] = vcm;
-  dc_opt.initial_node_v[ckt.node("tail")] = 0.2 * card.vdd;
-  dc_opt.initial_node_v[ckt.node("x1")] = 0.6 * card.vdd;
-  dc_opt.initial_node_v[ckt.node("x2")] = 0.6 * card.vdd;
-  dc_opt.initial_node_v[ckt.node("out")] = vcm;
-  dc_opt.initial_node_v[ckt.node("bias")] = 0.45 * card.vdd;
-  return dc_opt;
-}
-
-spice::AcOptions ngm_ac_options(spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
-  spice::AcOptions ac_opt;
-  ac_opt.kernel = kernel;
-  ac_opt.workspace = ws;
-  ac_opt.f_start = 1e2;
-  ac_opt.f_stop = 1e11;
-  ac_opt.points_per_decade = 10;
-  return ac_opt;
-}
-
-NgmResult assemble_ngm_result(const spice::AcMeasurements& acm,
-                              const spice::OpPoint& op) {
-  NgmResult result;
-  result.gain = acm.dc_gain;
-  result.ugbw_found = acm.ugbw_found;
-  if (acm.ugbw_found) {
-    result.ugbw = acm.ugbw;
-    result.phase_margin = acm.phase_margin_deg;
-  } else if (acm.f3db_found) {
-    // Smooth continuation below unity gain: report the gain-bandwidth
-    // product so the optimization landscape keeps a gradient where the
-    // output is railed (gain < 1) instead of collapsing to a constant
-    // failure sentinel.
-    result.ugbw = acm.dc_gain * acm.f3db;
-    result.phase_margin = 0.0;
-  }
-  result.bias_current = -op.branch_i[0];
-  return result;
+  std::vector<double> v(ckt.num_nodes(), 0.0);
+  v[ckt.node("vdd")] = card.vdd;
+  v[ckt.node("inp")] = vcm;
+  v[ckt.node("inn")] = vcm;
+  v[ckt.node("tail")] = 0.2 * card.vdd;
+  v[ckt.node("x1")] = 0.6 * card.vdd;
+  v[ckt.node("x2")] = 0.6 * card.vdd;
+  v[ckt.node("out")] = vcm;
+  v[ckt.node("bias")] = 0.45 * card.vdd;
+  return v;
 }
 }  // namespace
 
@@ -154,101 +114,43 @@ spice::Circuit build_ngm_ota(const NgmParams& params,
   return ckt;
 }
 
-util::Expected<NgmResult> simulate_ngm_ota(const NgmParams& params,
-                                           const spice::TechCard& card,
-                                           const NgmBuildOptions& options) {
-  using namespace spice;
-  Circuit ckt = build_ngm_ota(params, card, options);
+std::vector<util::Expected<SpecVector>> simulate_ngm_ota(
+    const std::vector<NgmParams>& params, const spice::TechCard& card,
+    const NgmBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
+  std::vector<spice::Circuit> circuits;
+  circuits.reserve(params.size());
+  std::vector<util::Expected<SimLane>> lanes;
+  lanes.reserve(params.size());
+  for (const NgmParams& p : params) {
+    const auto& ckt = circuits.emplace_back(build_ngm_ota(p, card, options));
+    lanes.push_back(SimLane{&ckt, ngm_initial_node_v(ckt, card)});
+  }
 
   // One workspace per (thread, topology): pattern + symbolic factorization
   // amortize across every grid point (and every PVT corner, which shares
   // the topology).
-  SimWorkspace* ws = nullptr;
-  if (options.kernel == SimKernel::Sparse) {
-    ws = &workspace_for(ckt, options.parasitics != nullptr ? "ngm_ota_pex"
-                                                           : "ngm_ota");
-  }
+  SimPlan plan;
+  plan.workspace_key =
+      options.parasitics != nullptr ? "ngm_ota_pex" : "ngm_ota";
+  plan.ac.emplace();
+  plan.ac->f_start = 1e2;
+  plan.ac->f_stop = 1e11;
+  plan.ac->points_per_decade = 10;
+  if (!circuits.empty()) plan.ac_probe = circuits.front().node("out");
 
-  DcOptions dc_opt = ngm_dc_options(ckt, card, options.kernel, ws);
-  OpPoint warm;
-  apply_warm_start(options.hint, warm, dc_opt);
-  auto op = solve_op(ckt, dc_opt);
-  if (!op.ok()) return op.error();
-  refresh_hint(options.hint, *op);
-
-  const AcOptions ac_opt = ngm_ac_options(options.kernel, ws);
-  auto sweep = ac_sweep(ckt, *op, ckt.node("out"), kGround, ac_opt);
-  if (!sweep.ok()) return sweep.error();
-  return assemble_ngm_result(measure_ac(*sweep), *op);
-}
-
-std::vector<util::Expected<NgmResult>> simulate_ngm_ota_batch(
-    const std::vector<NgmParams>& params, const spice::TechCard& card,
-    const NgmBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
-  using namespace spice;
-  const std::size_t K = params.size();
-  std::vector<util::Expected<NgmResult>> results(K, NgmResult{});
-  if (K == 0) return results;
-  const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-    return l < hints.size() ? hints[l] : nullptr;
+  const auto finish = [](std::size_t, const LaneMeasurements& m) {
+    const spice::AcMeasurements& acm = m.ac;
+    if (acm.ugbw_found) {
+      return SpecVector{acm.dc_gain, acm.ugbw, acm.phase_margin_deg};
+    }
+    // Smooth continuation below unity gain: report the gain-bandwidth
+    // product so the optimization landscape keeps a gradient where the
+    // output is railed (gain < 1) instead of collapsing to a constant
+    // failure sentinel.
+    const double gbw = acm.f3db_found ? acm.dc_gain * acm.f3db : 0.0;
+    return SpecVector{acm.dc_gain, gbw, 0.0};
   };
-  if (options.kernel == SimKernel::Dense) {
-    for (std::size_t l = 0; l < K; ++l) {
-      NgmBuildOptions lane_options = options;
-      lane_options.hint = hint_of(l);
-      results[l] = simulate_ngm_ota(params[l], card, lane_options);
-    }
-    return results;
-  }
-
-  std::vector<Circuit> circuits;
-  circuits.reserve(K);
-  for (const NgmParams& p : params) {
-    circuits.push_back(build_ngm_ota(p, card, options));
-  }
-  SimWorkspace& ws = workspace_for(
-      circuits.front(),
-      options.parasitics != nullptr ? "ngm_ota_pex" : "ngm_ota");
-
-  std::vector<const Circuit*> ckt_ptrs(K);
-  std::vector<DcOptions> dc_opts(K);
-  std::vector<OpPoint> warm(K);
-  for (std::size_t l = 0; l < K; ++l) {
-    ckt_ptrs[l] = &circuits[l];
-    dc_opts[l] = ngm_dc_options(circuits[l], card, SimKernel::Sparse, &ws);
-    NgmBuildOptions lane_options = options;
-    lane_options.hint = hint_of(l);
-    apply_warm_start(lane_options.hint, warm[l], dc_opts[l]);
-  }
-  std::vector<util::Expected<OpPoint>> ops =
-      solve_op_batch(ckt_ptrs, dc_opts, ws);
-
-  std::vector<std::size_t> ac_lanes;
-  std::vector<const Circuit*> ac_ckts;
-  std::vector<const OpPoint*> ac_ops;
-  for (std::size_t l = 0; l < K; ++l) {
-    if (!ops[l].ok()) {
-      results[l] = ops[l].error();
-      continue;
-    }
-    refresh_hint(hint_of(l), *ops[l]);
-    ac_lanes.push_back(l);
-    ac_ckts.push_back(&circuits[l]);
-    ac_ops.push_back(&*ops[l]);
-  }
-  if (ac_lanes.empty()) return results;
-  const AcOptions ac_opt = ngm_ac_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<std::vector<AcPoint>>> sweeps = ac_sweep_batch(
-      ac_ckts, ac_ops, circuits.front().node("out"), kGround, ac_opt, ws);
-  for (std::size_t s = 0; s < ac_lanes.size(); ++s) {
-    const std::size_t l = ac_lanes[s];
-    if (!sweeps[s].ok()) {
-      results[l] = sweeps[s].error();
-      continue;
-    }
-    results[l] = assemble_ngm_result(measure_ac(*sweeps[s]), *ops[l]);
-  }
-  return results;
+  return simulate_lanes(lanes, plan, hints, finish);
 }
 
 NgmParams ngm_params_from_grid(const std::vector<ParamDef>& defs,

@@ -13,11 +13,14 @@
 // All widths are fin counts (quantized); ~1e11 parameter combinations.
 // Specs: gain, UGBW, phase margin (target sampled in [60, 75] deg for
 // transfer-learning robustness, per paper Section III-C/D).
+//
+// Evaluation runs through the shared lane pipeline (circuits/pipeline.hpp):
+// DC, then AC; the specs are read off the AC measurements. The PEX problem
+// simulates each PVT corner as a one-lane call.
 
 #include "circuits/sizing_problem.hpp"
 #include "pex/parasitics.hpp"
 #include "spice/circuit.hpp"
-#include "spice/workspace.hpp"
 #include "util/expected.hpp"
 
 namespace autockt::circuits {
@@ -32,40 +35,21 @@ struct NgmParams {
   double cc = 0.5e-12;  // Miller compensation (F)
 };
 
-struct NgmResult {
-  double gain = 0.0;          // V/V
-  double ugbw = 0.0;          // Hz
-  double phase_margin = 0.0;  // degrees
-  double bias_current = 0.0;  // A (diagnostic)
-  bool ugbw_found = false;
-};
-
 struct NgmBuildOptions {
   const pex::ParasiticModel* parasitics = nullptr;
-  /// Sparse reuses the per-thread topology workspace (pattern + symbolic
-  /// factorization cached across evaluations); Dense is the legacy
-  /// reference kernel for parity tests and benchmarks.
-  spice::SimKernel kernel = spice::SimKernel::Sparse;
-  /// Warm-start slot threaded from the eval layer: read as the Newton
-  /// stage-0 guess when valid, refreshed with the converged operating
-  /// point on success.
-  eval::OpHint* hint = nullptr;
 };
 
 spice::Circuit build_ngm_ota(const NgmParams& params,
                              const spice::TechCard& card,
                              const NgmBuildOptions& options = {});
 
-util::Expected<NgmResult> simulate_ngm_ota(const NgmParams& params,
-                                           const spice::TechCard& card,
-                                           const NgmBuildOptions& options = {});
-
-/// Batched characterization: K design points run as lanes of the batched
-/// kernel (lockstep DC Newton + batched AC sweep); per-lane results are
-/// identical to simulate_ngm_ota(). `hints` may be empty or hold one
-/// (possibly null) hint per design; `options.hint` is ignored. The Dense
-/// kernel falls back to a scalar loop.
-std::vector<util::Expected<NgmResult>> simulate_ngm_ota_batch(
+/// Characterizes K design points as lanes of one pipeline call (DC, then
+/// AC). Each lane's specs are, in make_ngm_problem() order, {gain (V/V),
+/// UGBW (Hz), phase margin (deg)}. Below unity gain the UGBW spec continues
+/// as the gain-bandwidth product (gain x f3db) with phase margin 0, so a
+/// railed design still has a gradient. Results do not depend on K. `hints`
+/// may be empty or hold one (possibly null) warm-start slot per design.
+std::vector<util::Expected<SpecVector>> simulate_ngm_ota(
     const std::vector<NgmParams>& params, const spice::TechCard& card,
     const NgmBuildOptions& options = {},
     const std::vector<eval::OpHint*>& hints = {});

@@ -114,37 +114,20 @@ std::uint64_t problem_fingerprint(const std::string& name,
 }
 
 std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, const std::string& name,
+    eval::BatchEvalFn simulate, const std::string& name,
     const ProblemOptions& options, std::uint64_t cache_fingerprint) {
-  return make_standard_backend(std::move(fn), nullptr, name, options,
-                               cache_fingerprint);
-}
-
-std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, eval::BatchEvalFn batch_fn, const std::string& name,
-    const ProblemOptions& options, std::uint64_t cache_fingerprint) {
-  if (!options.batch_kernel) batch_fn = nullptr;
+  auto make_leaf = [simulate = std::move(simulate), name]() {
+    return std::make_shared<eval::FunctionBackend>(simulate, name);
+  };
   std::shared_ptr<eval::EvalBackend> backend;
   if (options.eval_workers > 0) {
     // Distributed stack: Cache(ProcessPool(worker: Function leaf)). Each
-    // worker keeps the batched-kernel leaf, so its shard of a batch still
-    // runs as lockstep lanes; the thread-pool layer is omitted — processes
-    // ARE the fan-out.
-    backend = wrap_process_pool(
-        [fn = std::move(fn), batch_fn = std::move(batch_fn),
-         name]() -> std::shared_ptr<eval::EvalBackend> {
-          return batch_fn != nullptr
-                     ? std::make_shared<eval::FunctionBackend>(fn, batch_fn,
-                                                               name)
-                     : std::make_shared<eval::FunctionBackend>(fn, name);
-        },
-        name, options);
+    // worker keeps the batched leaf, so its shard of a batch still runs as
+    // lockstep lanes; the thread-pool layer is omitted — processes ARE the
+    // fan-out.
+    backend = wrap_process_pool(make_leaf, name, options);
   } else {
-    backend =
-        batch_fn != nullptr
-            ? std::make_shared<eval::FunctionBackend>(
-                  std::move(fn), std::move(batch_fn), name)
-            : std::make_shared<eval::FunctionBackend>(std::move(fn), name);
+    backend = make_leaf();
     if (options.parallel_batch) {
       backend =
           std::make_shared<eval::ThreadPoolBackend>(backend, options.pool);
@@ -179,36 +162,14 @@ SizingProblem make_tia_problem(const ProblemOptions& options) {
   const spice::TechCard card = spice::TechCard::ptm45();
   const auto param_defs = prob.params;
   prob.backend = make_standard_backend(
-      [card, param_defs](const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-        const TiaParams p = tia_params_from_grid(param_defs, idx);
-        TiaBuildOptions build;
-        build.hint = hint;
-        auto res = simulate_tia(p, card, build);
-        if (!res.ok()) return res.error();
-        return SpecVector{res->settling_time, res->cutoff_freq,
-                          res->input_noise};
-      },
       [card, param_defs](const std::vector<ParamVector>& points,
-                         const std::vector<eval::OpHint*>& hints)
-          -> std::vector<util::Expected<SpecVector>> {
+                         const std::vector<eval::OpHint*>& hints) {
         std::vector<TiaParams> params;
         params.reserve(points.size());
         for (const ParamVector& idx : points) {
           params.push_back(tia_params_from_grid(param_defs, idx));
         }
-        auto sims = simulate_tia_batch(params, card, {}, hints);
-        std::vector<util::Expected<SpecVector>> out;
-        out.reserve(sims.size());
-        for (auto& res : sims) {
-          if (!res.ok()) {
-            out.push_back(res.error());
-          } else {
-            out.push_back(SpecVector{res->settling_time, res->cutoff_freq,
-                                     res->input_noise});
-          }
-        }
-        return out;
+        return simulate_tia(params, card, {}, hints);
       },
       "tia_sim", options,
       problem_fingerprint(prob.name, prob.params, prob.specs));
@@ -258,36 +219,14 @@ SizingProblem make_two_stage_problem(const ProblemOptions& options) {
   const spice::TechCard card = spice::TechCard::ptm45();
   const auto param_defs = prob.params;
   prob.backend = make_standard_backend(
-      [card, param_defs](const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-        const TwoStageParams p = two_stage_params_from_grid(param_defs, idx);
-        OpampBuildOptions build;
-        build.hint = hint;
-        auto res = simulate_two_stage(p, card, build);
-        if (!res.ok()) return res.error();
-        return SpecVector{res->gain, res->ugbw, res->phase_margin,
-                          res->bias_current};
-      },
       [card, param_defs](const std::vector<ParamVector>& points,
-                         const std::vector<eval::OpHint*>& hints)
-          -> std::vector<util::Expected<SpecVector>> {
+                         const std::vector<eval::OpHint*>& hints) {
         std::vector<TwoStageParams> params;
         params.reserve(points.size());
         for (const ParamVector& idx : points) {
           params.push_back(two_stage_params_from_grid(param_defs, idx));
         }
-        auto sims = simulate_two_stage_batch(params, card, {}, hints);
-        std::vector<util::Expected<SpecVector>> out;
-        out.reserve(sims.size());
-        for (auto& res : sims) {
-          if (!res.ok()) {
-            out.push_back(res.error());
-          } else {
-            out.push_back(SpecVector{res->gain, res->ugbw, res->phase_margin,
-                                     res->bias_current});
-          }
-        }
-        return out;
+        return simulate_two_stage(params, card, {}, hints);
       },
       "two_stage_sim", options,
       problem_fingerprint(prob.name, prob.params, prob.specs));
@@ -342,34 +281,14 @@ SizingProblem make_ngm_problem(const ProblemOptions& options) {
   const spice::TechCard card = spice::TechCard::finfet16();
   const auto param_defs = prob.params;
   prob.backend = make_standard_backend(
-      [card, param_defs](const ParamVector& idx,
-                         eval::OpHint* hint) -> util::Expected<SpecVector> {
-        const NgmParams p = ngm_params_from_grid(param_defs, idx);
-        NgmBuildOptions build;
-        build.hint = hint;
-        auto res = simulate_ngm_ota(p, card, build);
-        if (!res.ok()) return res.error();
-        return SpecVector{res->gain, res->ugbw, res->phase_margin};
-      },
       [card, param_defs](const std::vector<ParamVector>& points,
-                         const std::vector<eval::OpHint*>& hints)
-          -> std::vector<util::Expected<SpecVector>> {
+                         const std::vector<eval::OpHint*>& hints) {
         std::vector<NgmParams> params;
         params.reserve(points.size());
         for (const ParamVector& idx : points) {
           params.push_back(ngm_params_from_grid(param_defs, idx));
         }
-        auto sims = simulate_ngm_ota_batch(params, card, {}, hints);
-        std::vector<util::Expected<SpecVector>> out;
-        out.reserve(sims.size());
-        for (auto& res : sims) {
-          if (!res.ok()) {
-            out.push_back(res.error());
-          } else {
-            out.push_back(SpecVector{res->gain, res->ugbw, res->phase_margin});
-          }
-        }
-        return out;
+        return simulate_ngm_ota(params, card, {}, hints);
       },
       "ngm_sim", options,
       problem_fingerprint(prob.name, prob.params, prob.specs));
@@ -409,13 +328,12 @@ SizingProblem make_ngm_pex_problem(const ProblemOptions& options) {
   auto corner_eval = [param_defs, parasitics, corner_cards](
                          std::size_t corner_index, const ParamVector& idx,
                          eval::OpHint* hint) -> util::Expected<SpecVector> {
-    const NgmParams p = ngm_params_from_grid(param_defs, idx);
     NgmBuildOptions build;
     build.parasitics = &parasitics;
-    build.hint = hint;  // one warm-start slot per corner (see CornerBackend)
-    auto res = simulate_ngm_ota(p, corner_cards[corner_index], build);
-    if (!res.ok()) return res.error();
-    return SpecVector{res->gain, res->ugbw, res->phase_margin};
+    const NgmParams p = ngm_params_from_grid(param_defs, idx);
+    const spice::TechCard& card = corner_cards[corner_index];
+    // One lane; one warm-start slot per corner (see CornerBackend).
+    return std::move(simulate_ngm_ota({p}, card, build, {hint}).front());
   };
   auto fold = [spec_defs](const std::vector<SpecVector>& corner_results) {
     return worst_case_fold(spec_defs, corner_results);

@@ -6,11 +6,14 @@
 // annotated (see docs/DESIGN.md section 3 and docs/EXPERIMENTS.md).
 //
 // Every factory wires an evaluation-backend stack behind the problem:
-// a FunctionBackend leaf (the simulator lambda), fanned out over the batch
-// thread pool, behind a sharded memo cache keyed on grid indices. The PEX
-// factory's leaf is a CornerBackend that simulates PVT corners in parallel
-// and folds the worst case. ProblemOptions strips layers for tests and
-// benchmarks that need the raw serial path.
+// a FunctionBackend leaf, fanned out over the batch thread pool, behind a
+// sharded memo cache keyed on grid indices. The leaf calls the circuit's
+// simulate_* function, which runs the grid points as lanes of the shared
+// pipeline (circuits/pipeline.hpp); a single point is a one-lane call,
+// with results identical to the same point inside a batch. The PEX factory's
+// leaf is a CornerBackend that simulates PVT corners (one lane each) in
+// parallel and folds the worst case. ProblemOptions strips layers for
+// tests and benchmarks that need the raw serial path.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,12 +35,6 @@ struct ProblemOptions {
   std::size_t cache_shards = 16;
   bool parallel_batch = true;   // evaluate_batch() over the worker pool
   bool parallel_corners = true; // PEX only: PVT corners fanned out
-  /// evaluate_batch() runs K grid points as lanes of the batched sparse
-  /// kernel (SparseLuNumericBatch) instead of looping the scalar
-  /// simulator: lockstep DC Newton, batched AC/noise sweeps. Per-point
-  /// results are identical; only throughput changes. Ignored by the PEX
-  /// factory (its leaf is the corner fan-out) and by the Dense kernel.
-  bool batch_kernel = true;
   /// Worker pool for batch/corner fan-out; null uses the process-wide
   /// shared pool.
   std::shared_ptr<eval::ThreadPool> pool;
@@ -65,20 +62,13 @@ std::uint64_t problem_fingerprint(const std::string& name,
 /// The standard backend stack behind a schematic problem: a FunctionBackend
 /// simulator leaf, optionally fanned out over the batch thread pool, behind
 /// an optional sharded memo cache. Shared by the built-in factories and by
-/// deck-compiled problems (circuits/netlist_problem.hpp).
-/// `cache_fingerprint` identifies the problem definition to a persistent
-/// cache (see problem_fingerprint); only consulted when options.cache_path
-/// is set.
+/// deck-compiled problems (circuits/netlist_problem.hpp). `simulate` takes
+/// whole batches (one circuits::simulate_lanes call); a single evaluate()
+/// is a one-lane call of it. `cache_fingerprint` identifies the problem
+/// definition to a persistent cache (see problem_fingerprint); only
+/// consulted when options.cache_path is set.
 std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, const std::string& name,
-    const ProblemOptions& options, std::uint64_t cache_fingerprint = 0);
-
-/// Batch-aware variant: when `options.batch_kernel` is set and `batch_fn`
-/// is non-null, the FunctionBackend leaf routes whole batches through
-/// `batch_fn` (one batched-kernel invocation) and the thread-pool layer
-/// forwards rather than splits them.
-std::shared_ptr<eval::EvalBackend> make_standard_backend(
-    eval::HintedEvalFn fn, eval::BatchEvalFn batch_fn, const std::string& name,
+    eval::BatchEvalFn simulate, const std::string& name,
     const ProblemOptions& options, std::uint64_t cache_fingerprint = 0);
 
 /// Transimpedance amplifier (Table I / Fig. 5). ptm45 card.

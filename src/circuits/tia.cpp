@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
+#include "circuits/pipeline.hpp"
 #include "spice/measure.hpp"
-#include "spice/noise.hpp"
 #include "spice/transient.hpp"
 #include "spice/units.hpp"
 
@@ -23,52 +20,35 @@ constexpr double kChannelLengthFactor = 2.0;  // drawn L = 2 * l_min
 // value), so a still-ringing design can never out-score one that settled.
 constexpr double kUnsettledPenalty = 3e-8;  // s
 
-spice::DcOptions tia_dc_options(const spice::Circuit& ckt,
-                                const spice::TechCard& card,
-                                spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
-  spice::DcOptions dc_opt;
-  dc_opt.kernel = kernel;
-  dc_opt.workspace = ws;
-  dc_opt.initial_node_v.assign(ckt.num_nodes(), 0.0);
-  dc_opt.initial_node_v[ckt.node("vdd")] = card.vdd;
-  dc_opt.initial_node_v[ckt.node("in")] = card.vdd / 2.0;
-  dc_opt.initial_node_v[ckt.node("out")] = card.vdd / 2.0;
-  return dc_opt;
+// AC sweep stop frequency; also the cutoff reported when no -3 dB point
+// falls inside the sweep.
+constexpr double kAcStop = 1e11;  // Hz
+
+std::vector<double> tia_initial_node_v(const spice::Circuit& ckt,
+                                       const spice::TechCard& card) {
+  std::vector<double> v(ckt.num_nodes(), 0.0);
+  v[ckt.node("vdd")] = card.vdd;
+  v[ckt.node("in")] = card.vdd / 2.0;
+  v[ckt.node("out")] = card.vdd / 2.0;
+  return v;
 }
 
-spice::AcOptions tia_ac_options(spice::SimKernel kernel,
-                                spice::SimWorkspace* ws) {
-  spice::AcOptions ac_opt;
-  ac_opt.kernel = kernel;
-  ac_opt.workspace = ws;
-  ac_opt.f_start = 1e5;
-  ac_opt.f_stop = 1e11;
-  ac_opt.points_per_decade = 10;
-  return ac_opt;
-}
-
-spice::NoiseOptions tia_noise_options(spice::SimKernel kernel,
-                                      spice::SimWorkspace* ws) {
-  spice::NoiseOptions n_opt;
-  n_opt.kernel = kernel;
-  n_opt.workspace = ws;
-  n_opt.f_start = 1e3;
-  n_opt.f_stop = 1e10;
-  n_opt.points_per_decade = 4;
-  return n_opt;
-}
-
-/// Transient step-response settling measurement around the converged op
-/// point; window scaled from the lane's own small-signal bandwidth (which
-/// is why this stage stays scalar in the batched path).
-util::Expected<double> tia_settling_time(const TiaParams& params,
-                                         const spice::TechCard& card,
-                                         const TiaBuildOptions& options,
-                                         spice::SimWorkspace* ws,
-                                         const spice::OpPoint& op,
-                                         double cutoff_freq) {
+/// One lane's specs: cutoff and input noise from the AC and noise sweeps,
+/// then the transient step-response settling measurement around the
+/// converged op point, its window scaled from the lane's own small-signal
+/// bandwidth (which is why this stage runs per lane).
+util::Expected<SpecVector> tia_specs(const TiaParams& params,
+                                     const spice::TechCard& card,
+                                     const TiaBuildOptions& options,
+                                     const LaneMeasurements& m) {
   using namespace spice;
+  const double cutoff_freq = m.ac.f3db_found ? m.ac.f3db : kAcStop;
+  // Input-referred current noise times the feedback resistance gives the
+  // paper's Vrms-equivalent input noise figure (1 A AC stimulus, so the DC
+  // gain is the transimpedance in Ohms).
+  const double z_dc = std::max(m.ac.dc_gain, 1.0);
+  const double noise_in = m.noise_vrms * params.feedback_resistance() / z_dc;
+
   // Window scaled from the small-signal bandwidth so slow and fast designs
   // are both resolved with ~0.25% time granularity.
   const double f_bw = std::clamp(cutoff_freq, 1e7, 1e11);
@@ -86,21 +66,19 @@ util::Expected<double> tia_settling_time(const TiaParams& params,
   Circuit step_ckt = build_tia(params, card, step_options);
 
   TranOptions tr_opt;
-  tr_opt.kernel = options.kernel;
-  tr_opt.workspace = ws;  // step_ckt shares the topology (and pattern)
+  tr_opt.workspace = &m.ws;  // step_ckt shares the topology (and pattern)
   tr_opt.t_stop = t_window;
   tr_opt.dt = t_window / 400.0;
-  auto tran = transient(step_ckt, op, {step_ckt.node("out")}, tr_opt);
+  auto tran = transient(step_ckt, m.op, {step_ckt.node("out")}, tr_opt);
   if (!tran.ok()) return tran.error();
   const SettlingResult settle =
       measure_settling(tran->time, tran->waveforms[0], 0.02);
-  if (settle.settled) {
-    return std::max(settle.time - t_edge, tr_opt.dt);
-  }
   // The output was still moving at the window end: the measured instant is
   // only a lower bound. Report the penalty instead of crediting the design
   // with a (possibly tiny) truncated window length.
-  return kUnsettledPenalty;
+  double settling = kUnsettledPenalty;
+  if (settle.settled) settling = std::max(settle.time - t_edge, tr_opt.dt);
+  return SpecVector{settling, cutoff_freq, noise_in};
 }
 }  // namespace
 
@@ -148,153 +126,40 @@ spice::Circuit build_tia(const TiaParams& params, const spice::TechCard& card,
   return ckt;
 }
 
-util::Expected<TiaResult> simulate_tia(const TiaParams& params,
-                                       const spice::TechCard& card,
-                                       const TiaBuildOptions& options) {
+std::vector<util::Expected<SpecVector>> simulate_tia(
+    const std::vector<TiaParams>& params, const spice::TechCard& card,
+    const TiaBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
   using namespace spice;
-  Circuit ckt = build_tia(params, card, options);
-  const NodeId in = ckt.node("in");
-  const NodeId out = ckt.node("out");
-  (void)in;
+  std::vector<Circuit> circuits;
+  circuits.reserve(params.size());
+  std::vector<util::Expected<SimLane>> lanes;
+  lanes.reserve(params.size());
+  for (const TiaParams& p : params) {
+    const Circuit& ckt = circuits.emplace_back(build_tia(p, card, options));
+    lanes.push_back(SimLane{&ckt, tia_initial_node_v(ckt, card)});
+  }
 
   // One workspace per (thread, topology), shared by the DC solve, the AC
   // and noise sweeps, and the transient run (whose step-stimulus rebuild
   // has the identical structure).
-  SimWorkspace* ws = nullptr;
-  if (options.kernel == SimKernel::Sparse) {
-    ws = &workspace_for(ckt,
-                        options.parasitics != nullptr ? "tia_pex" : "tia");
+  SimPlan plan;
+  plan.workspace_key = options.parasitics != nullptr ? "tia_pex" : "tia";
+  plan.ac.emplace();
+  plan.ac->f_start = 1e5;
+  plan.ac->f_stop = kAcStop;
+  plan.ac->points_per_decade = 10;
+  plan.noise.emplace();
+  plan.noise->f_start = 1e3;
+  plan.noise->f_stop = 1e10;
+  plan.noise->points_per_decade = 4;
+  if (!circuits.empty()) {
+    plan.ac_probe = plan.noise_probe = circuits.front().node("out");
   }
 
-  DcOptions dc_opt = tia_dc_options(ckt, card, options.kernel, ws);
-  OpPoint warm;
-  apply_warm_start(options.hint, warm, dc_opt);
-  auto op = solve_op(ckt, dc_opt);
-  if (!op.ok()) return op.error();
-  refresh_hint(options.hint, *op);
-
-  // ---- AC: transimpedance magnitude and cutoff --------------------------
-  const AcOptions ac_opt = tia_ac_options(options.kernel, ws);
-  auto sweep = ac_sweep(ckt, *op, out, kGround, ac_opt);
-  if (!sweep.ok()) return sweep.error();
-  const AcMeasurements acm = measure_ac(*sweep);
-
-  TiaResult result;
-  result.cutoff_freq = acm.f3db_found ? acm.f3db : ac_opt.f_stop;
-  const double z_dc = std::max(acm.dc_gain, 1.0);  // Ohms (1 A AC stimulus)
-
-  // ---- Noise: output-referred, then referred to the input ----------------
-  const NoiseOptions n_opt = tia_noise_options(options.kernel, ws);
-  auto noise = noise_sweep(ckt, *op, out, kGround, n_opt);
-  if (!noise.ok()) return noise.error();
-  // Input-referred current noise times the feedback resistance gives the
-  // paper's Vrms-equivalent input noise figure.
-  result.input_noise = noise->total_output_vrms() *
-                       params.feedback_resistance() / z_dc;
-
-  // ---- Transient: step-response settling ---------------------------------
-  auto settling = tia_settling_time(params, card, options, ws, *op,
-                                    result.cutoff_freq);
-  if (!settling.ok()) return settling.error();
-  result.settling_time = *settling;
-
-  result.supply_current = -op->branch_i[0];
-  return result;
-}
-
-std::vector<util::Expected<TiaResult>> simulate_tia_batch(
-    const std::vector<TiaParams>& params, const spice::TechCard& card,
-    const TiaBuildOptions& options, const std::vector<eval::OpHint*>& hints) {
-  using namespace spice;
-  const std::size_t K = params.size();
-  std::vector<util::Expected<TiaResult>> results(K, TiaResult{});
-  if (K == 0) return results;
-  const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-    return l < hints.size() ? hints[l] : nullptr;
+  const auto finish = [&](std::size_t l, const LaneMeasurements& m) {
+    return tia_specs(params[l], card, options, m);
   };
-  if (options.kernel == SimKernel::Dense) {
-    for (std::size_t l = 0; l < K; ++l) {
-      TiaBuildOptions lane_options = options;
-      lane_options.hint = hint_of(l);
-      results[l] = simulate_tia(params[l], card, lane_options);
-    }
-    return results;
-  }
-
-  std::vector<Circuit> circuits;
-  circuits.reserve(K);
-  for (const TiaParams& p : params) {
-    circuits.push_back(build_tia(p, card, options));
-  }
-  SimWorkspace& ws = workspace_for(
-      circuits.front(), options.parasitics != nullptr ? "tia_pex" : "tia");
-  const NodeId out = circuits.front().node("out");
-
-  std::vector<const Circuit*> ckt_ptrs(K);
-  std::vector<DcOptions> dc_opts(K);
-  std::vector<OpPoint> warm(K);
-  for (std::size_t l = 0; l < K; ++l) {
-    ckt_ptrs[l] = &circuits[l];
-    dc_opts[l] = tia_dc_options(circuits[l], card, SimKernel::Sparse, &ws);
-    TiaBuildOptions lane_options = options;
-    lane_options.hint = hint_of(l);
-    apply_warm_start(lane_options.hint, warm[l], dc_opts[l]);
-  }
-  std::vector<util::Expected<OpPoint>> ops =
-      solve_op_batch(ckt_ptrs, dc_opts, ws);
-
-  // Compact the converged lanes into the batched AC and noise sweeps.
-  std::vector<std::size_t> live;
-  std::vector<const Circuit*> live_ckts;
-  std::vector<const OpPoint*> live_ops;
-  for (std::size_t l = 0; l < K; ++l) {
-    if (!ops[l].ok()) {
-      results[l] = ops[l].error();
-      continue;
-    }
-    refresh_hint(hint_of(l), *ops[l]);
-    live.push_back(l);
-    live_ckts.push_back(&circuits[l]);
-    live_ops.push_back(&*ops[l]);
-  }
-  if (live.empty()) return results;
-
-  const AcOptions ac_opt = tia_ac_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<std::vector<AcPoint>>> sweeps =
-      ac_sweep_batch(live_ckts, live_ops, out, kGround, ac_opt, ws);
-  const NoiseOptions n_opt = tia_noise_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<NoiseResult>> noises =
-      noise_sweep_batch(live_ckts, live_ops, out, kGround, n_opt, ws);
-
-  TiaBuildOptions lane_options = options;
-  lane_options.kernel = SimKernel::Sparse;
-  for (std::size_t s = 0; s < live.size(); ++s) {
-    const std::size_t l = live[s];
-    if (!sweeps[s].ok()) {
-      results[l] = sweeps[s].error();
-      continue;
-    }
-    if (!noises[s].ok()) {
-      results[l] = noises[s].error();
-      continue;
-    }
-    const AcMeasurements acm = measure_ac(*sweeps[s]);
-    TiaResult result;
-    result.cutoff_freq = acm.f3db_found ? acm.f3db : ac_opt.f_stop;
-    const double z_dc = std::max(acm.dc_gain, 1.0);
-    result.input_noise = noises[s]->total_output_vrms() *
-                         params[l].feedback_resistance() / z_dc;
-    auto settling = tia_settling_time(params[l], card, lane_options, &ws,
-                                      *ops[l], result.cutoff_freq);
-    if (!settling.ok()) {
-      results[l] = settling.error();
-      continue;
-    }
-    result.settling_time = *settling;
-    result.supply_current = -ops[l]->branch_i[0];
-    results[l] = result;
-  }
-  return results;
+  return simulate_lanes(lanes, plan, hints, finish);
 }
 
 TiaParams tia_params_from_grid(const std::vector<ParamDef>& defs,

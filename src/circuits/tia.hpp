@@ -8,11 +8,14 @@
 //   feedback ladder:  resistors in series [2, 20, 2], in parallel [1, 20, 1]
 //   unit resistance:  5.6 kOhm
 // Specs: settling time, -3 dB cutoff frequency, input-referred noise.
+//
+// Evaluation runs through the shared lane pipeline (circuits/pipeline.hpp):
+// DC, AC and noise, then a per-lane settling transient whose window scales
+// with that lane's measured bandwidth.
 
 #include "circuits/sizing_problem.hpp"
 #include "pex/parasitics.hpp"
 #include "spice/circuit.hpp"
-#include "spice/workspace.hpp"
 #include "util/expected.hpp"
 
 namespace autockt::circuits {
@@ -33,13 +36,6 @@ struct TiaParams {
   }
 };
 
-struct TiaResult {
-  double settling_time = 0.0;   // s, 2% band of the step response
-  double cutoff_freq = 0.0;     // Hz, -3 dB of the transimpedance
-  double input_noise = 0.0;     // Vrms equivalent at the input
-  double supply_current = 0.0;  // A (diagnostic; not a paper spec)
-};
-
 struct TiaBuildOptions {
   const pex::ParasiticModel* parasitics = nullptr;
   /// Photodiode current stimulus; null means DC 0 A with unit AC magnitude
@@ -47,33 +43,18 @@ struct TiaBuildOptions {
   /// rebuilds the SAME netlist with a step waveform here, which is what
   /// lets the two builds share one workspace pattern by construction.
   const spice::Waveform* input_stimulus = nullptr;
-  /// Sparse reuses the per-thread topology workspace (pattern + symbolic
-  /// factorization cached across evaluations); Dense is the legacy
-  /// reference kernel for parity tests and benchmarks.
-  spice::SimKernel kernel = spice::SimKernel::Sparse;
-  /// Warm-start slot threaded from the eval layer: read as the Newton
-  /// stage-0 guess when valid, refreshed with the converged operating
-  /// point on success.
-  eval::OpHint* hint = nullptr;
 };
 
 /// Build the netlist (exposed for tests and examples).
 spice::Circuit build_tia(const TiaParams& params, const spice::TechCard& card,
                          const TiaBuildOptions& options = {});
 
-/// Full evaluation: DC, AC, transient step response and noise analysis.
-util::Expected<TiaResult> simulate_tia(const TiaParams& params,
-                                       const spice::TechCard& card,
-                                       const TiaBuildOptions& options = {});
-
-/// Batched characterization: K design points run as lanes of the batched
-/// kernel — lockstep DC Newton, batched AC and noise sweeps. The transient
-/// settling run stays scalar per lane (each lane's window and step size
-/// depend on its own measured bandwidth). Per-lane results are identical
-/// to simulate_tia(). `hints` may be empty or hold one (possibly null)
-/// hint per design; `options.hint` is ignored. The Dense kernel falls back
-/// to a scalar loop.
-std::vector<util::Expected<TiaResult>> simulate_tia_batch(
+/// Characterizes K design points as lanes of one pipeline call. Each
+/// lane's specs are, in make_tia_problem() order, {settling time (s),
+/// -3 dB cutoff (Hz), input-referred noise (Vrms)}; they do not depend on
+/// K. `hints` may be empty or hold one (possibly null) warm-start slot per
+/// design.
+std::vector<util::Expected<SpecVector>> simulate_tia(
     const std::vector<TiaParams>& params, const spice::TechCard& card,
     const TiaBuildOptions& options = {},
     const std::vector<eval::OpHint*>& hints = {});

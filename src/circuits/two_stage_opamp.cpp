@@ -2,10 +2,7 @@
 
 #include <cmath>
 
-#include "circuits/sim_hint.hpp"
-#include "spice/ac.hpp"
-#include "spice/dc.hpp"
-#include "spice/measure.hpp"
+#include "circuits/pipeline.hpp"
 #include "spice/units.hpp"
 
 namespace autockt::circuits {
@@ -16,47 +13,19 @@ constexpr double kBiasResistor = 20e3;    // Ohms
 constexpr double kChannelLengthFactor = 2.0;
 constexpr double kVcmFraction = 0.55;     // input common mode / vdd
 
-spice::DcOptions two_stage_dc_options(const spice::Circuit& ckt,
-                                      const spice::TechCard& card,
-                                      spice::SimKernel kernel,
-                                      spice::SimWorkspace* ws) {
-  using namespace spice;
+std::vector<double> two_stage_initial_node_v(const spice::Circuit& ckt,
+                                             const spice::TechCard& card) {
   const double vcm = kVcmFraction * card.vdd;
-  DcOptions dc_opt;
-  dc_opt.kernel = kernel;
-  dc_opt.workspace = ws;
-  dc_opt.initial_node_v.assign(ckt.num_nodes(), 0.0);
-  dc_opt.initial_node_v[ckt.node("vdd")] = card.vdd;
-  dc_opt.initial_node_v[ckt.node("inp")] = vcm;
-  dc_opt.initial_node_v[ckt.node("inn")] = vcm;
-  dc_opt.initial_node_v[ckt.node("tail")] = 0.2 * card.vdd;
-  dc_opt.initial_node_v[ckt.node("d1")] = 0.65 * card.vdd;
-  dc_opt.initial_node_v[ckt.node("out1")] = 0.65 * card.vdd;
-  dc_opt.initial_node_v[ckt.node("out")] = vcm;
-  dc_opt.initial_node_v[ckt.node("bias")] = 0.4 * card.vdd;
-  return dc_opt;
-}
-
-spice::AcOptions two_stage_ac_options(spice::SimKernel kernel,
-                                      spice::SimWorkspace* ws) {
-  spice::AcOptions ac_opt;
-  ac_opt.kernel = kernel;
-  ac_opt.workspace = ws;
-  ac_opt.f_start = 1e2;
-  ac_opt.f_stop = 1e11;
-  ac_opt.points_per_decade = 10;
-  return ac_opt;
-}
-
-OpampResult assemble_two_stage_result(const spice::AcMeasurements& acm,
-                                      const spice::OpPoint& op) {
-  OpampResult result;
-  result.gain = acm.dc_gain;
-  result.ugbw_found = acm.ugbw_found;
-  result.ugbw = acm.ugbw_found ? acm.ugbw : 0.0;
-  result.phase_margin = acm.ugbw_found ? acm.phase_margin_deg : 0.0;
-  result.bias_current = -op.branch_i[0];  // vsupply is the first source
-  return result;
+  std::vector<double> v(ckt.num_nodes(), 0.0);
+  v[ckt.node("vdd")] = card.vdd;
+  v[ckt.node("inp")] = vcm;
+  v[ckt.node("inn")] = vcm;
+  v[ckt.node("tail")] = 0.2 * card.vdd;
+  v[ckt.node("d1")] = 0.65 * card.vdd;
+  v[ckt.node("out1")] = 0.65 * card.vdd;
+  v[ckt.node("out")] = vcm;
+  v[ckt.node("bias")] = 0.4 * card.vdd;
+  return v;
 }
 }  // namespace
 
@@ -129,104 +98,37 @@ spice::Circuit build_two_stage(const TwoStageParams& params,
   return ckt;
 }
 
-util::Expected<OpampResult> simulate_two_stage(
-    const TwoStageParams& params, const spice::TechCard& card,
-    const OpampBuildOptions& options) {
-  using namespace spice;
-  Circuit ckt = build_two_stage(params, card, options);
-
-  // One workspace per (thread, topology): the stamp pattern and symbolic
-  // factorization are computed once and reused by every grid point.
-  SimWorkspace* ws = nullptr;
-  if (options.kernel == SimKernel::Sparse) {
-    ws = &workspace_for(ckt, options.parasitics != nullptr ? "two_stage_pex"
-                                                           : "two_stage");
-  }
-
-  DcOptions dc_opt = two_stage_dc_options(ckt, card, options.kernel, ws);
-  OpPoint warm;
-  apply_warm_start(options.hint, warm, dc_opt);
-  auto op = solve_op(ckt, dc_opt);
-  if (!op.ok()) return op.error();
-  refresh_hint(options.hint, *op);
-
-  const AcOptions ac_opt = two_stage_ac_options(options.kernel, ws);
-  auto sweep = ac_sweep(ckt, *op, ckt.node("out"), kGround, ac_opt);
-  if (!sweep.ok()) return sweep.error();
-  return assemble_two_stage_result(measure_ac(*sweep), *op);
-}
-
-std::vector<util::Expected<OpampResult>> simulate_two_stage_batch(
+std::vector<util::Expected<SpecVector>> simulate_two_stage(
     const std::vector<TwoStageParams>& params, const spice::TechCard& card,
     const OpampBuildOptions& options,
     const std::vector<eval::OpHint*>& hints) {
-  using namespace spice;
-  const std::size_t K = params.size();
-  std::vector<util::Expected<OpampResult>> results(K, OpampResult{});
-  if (K == 0) return results;
-  const auto hint_of = [&](std::size_t l) -> eval::OpHint* {
-    return l < hints.size() ? hints[l] : nullptr;
-  };
-  if (options.kernel == SimKernel::Dense) {
-    for (std::size_t l = 0; l < K; ++l) {
-      OpampBuildOptions lane_options = options;
-      lane_options.hint = hint_of(l);
-      results[l] = simulate_two_stage(params[l], card, lane_options);
-    }
-    return results;
-  }
-
-  std::vector<Circuit> circuits;
-  circuits.reserve(K);
+  std::vector<spice::Circuit> circuits;
+  circuits.reserve(params.size());
+  std::vector<util::Expected<SimLane>> lanes;
+  lanes.reserve(params.size());
   for (const TwoStageParams& p : params) {
-    circuits.push_back(build_two_stage(p, card, options));
+    const auto& ckt = circuits.emplace_back(build_two_stage(p, card, options));
+    lanes.push_back(SimLane{&ckt, two_stage_initial_node_v(ckt, card)});
   }
-  SimWorkspace& ws = workspace_for(
-      circuits.front(),
-      options.parasitics != nullptr ? "two_stage_pex" : "two_stage");
 
-  std::vector<const Circuit*> ckt_ptrs(K);
-  std::vector<DcOptions> dc_opts(K);
-  std::vector<OpPoint> warm(K);
-  for (std::size_t l = 0; l < K; ++l) {
-    ckt_ptrs[l] = &circuits[l];
-    dc_opts[l] =
-        two_stage_dc_options(circuits[l], card, SimKernel::Sparse, &ws);
-    OpampBuildOptions lane_options = options;
-    lane_options.hint = hint_of(l);
-    apply_warm_start(lane_options.hint, warm[l], dc_opts[l]);
-  }
-  std::vector<util::Expected<OpPoint>> ops =
-      solve_op_batch(ckt_ptrs, dc_opts, ws);
+  // One workspace per (thread, topology): the stamp pattern and symbolic
+  // factorization are computed once and reused by every grid point.
+  SimPlan plan;
+  plan.workspace_key =
+      options.parasitics != nullptr ? "two_stage_pex" : "two_stage";
+  plan.ac.emplace();
+  plan.ac->f_start = 1e2;
+  plan.ac->f_stop = 1e11;
+  plan.ac->points_per_decade = 10;
+  if (!circuits.empty()) plan.ac_probe = circuits.front().node("out");
 
-  // Compact the converged lanes into one AC batch; DC failures keep their
-  // error and never occupy an AC lane.
-  std::vector<std::size_t> ac_lanes;
-  std::vector<const Circuit*> ac_ckts;
-  std::vector<const OpPoint*> ac_ops;
-  for (std::size_t l = 0; l < K; ++l) {
-    if (!ops[l].ok()) {
-      results[l] = ops[l].error();
-      continue;
-    }
-    refresh_hint(hint_of(l), *ops[l]);
-    ac_lanes.push_back(l);
-    ac_ckts.push_back(&circuits[l]);
-    ac_ops.push_back(&*ops[l]);
-  }
-  if (ac_lanes.empty()) return results;
-  const AcOptions ac_opt = two_stage_ac_options(SimKernel::Sparse, &ws);
-  std::vector<util::Expected<std::vector<AcPoint>>> sweeps = ac_sweep_batch(
-      ac_ckts, ac_ops, circuits.front().node("out"), kGround, ac_opt, ws);
-  for (std::size_t s = 0; s < ac_lanes.size(); ++s) {
-    const std::size_t l = ac_lanes[s];
-    if (!sweeps[s].ok()) {
-      results[l] = sweeps[s].error();
-      continue;
-    }
-    results[l] = assemble_two_stage_result(measure_ac(*sweeps[s]), *ops[l]);
-  }
-  return results;
+  const auto finish = [](std::size_t, const LaneMeasurements& m) {
+    const spice::AcMeasurements& acm = m.ac;
+    return SpecVector{acm.dc_gain, acm.ugbw_found ? acm.ugbw : 0.0,
+                      acm.ugbw_found ? acm.phase_margin_deg : 0.0,
+                      -m.op.branch_i[0]};  // vsupply is the first source
+  };
+  return simulate_lanes(lanes, plan, hints, finish);
 }
 
 TwoStageParams two_stage_params_from_grid(const std::vector<ParamDef>& defs,

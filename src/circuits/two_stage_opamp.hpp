@@ -16,11 +16,14 @@
 // (1 GOhm / 10 uF) from output to the inverting input centers the DC
 // operating point while leaving the AC response open-loop above ~1 Hz —
 // exactly the practice an analog designer uses in Spectre.
+//
+// Evaluation runs through the shared lane pipeline (circuits/pipeline.hpp):
+// DC, then AC; the specs are read off the AC measurements and the supply
+// branch current.
 
 #include "circuits/sizing_problem.hpp"
 #include "pex/parasitics.hpp"
 #include "spice/circuit.hpp"
-#include "spice/workspace.hpp"
 #include "util/expected.hpp"
 
 namespace autockt::circuits {
@@ -35,40 +38,21 @@ struct TwoStageParams {
   double cc = 2e-12;   // Miller compensation (F)
 };
 
-struct OpampResult {
-  double gain = 0.0;              // V/V
-  double ugbw = 0.0;              // Hz
-  double phase_margin = 0.0;      // degrees
-  double bias_current = 0.0;      // A (total supply draw)
-  bool ugbw_found = false;
-};
-
 struct OpampBuildOptions {
   const pex::ParasiticModel* parasitics = nullptr;
-  /// Sparse reuses the per-thread topology workspace (pattern + symbolic
-  /// factorization cached across evaluations); Dense is the legacy
-  /// reference kernel for parity tests and benchmarks.
-  spice::SimKernel kernel = spice::SimKernel::Sparse;
-  /// Warm-start slot threaded from the eval layer: read as the Newton
-  /// stage-0 guess when valid, refreshed with the converged operating
-  /// point on success.
-  eval::OpHint* hint = nullptr;
 };
 
 spice::Circuit build_two_stage(const TwoStageParams& params,
                                const spice::TechCard& card,
                                const OpampBuildOptions& options = {});
 
-util::Expected<OpampResult> simulate_two_stage(
-    const TwoStageParams& params, const spice::TechCard& card,
-    const OpampBuildOptions& options = {});
-
-/// Batched characterization: K design points of the same topology run as
-/// lanes of the batched kernel (lockstep DC Newton + batched AC sweep).
-/// Per-lane results are identical to simulate_two_stage(). `hints` may be
-/// empty (no warm starts) or hold one (possibly null) hint per design;
-/// `options.hint` is ignored. The Dense kernel falls back to a scalar loop.
-std::vector<util::Expected<OpampResult>> simulate_two_stage_batch(
+/// Characterizes K design points as lanes of one pipeline call (DC, then
+/// AC). Each lane's specs are, in make_two_stage_problem() order, {gain
+/// (V/V), UGBW (Hz), phase margin (deg), supply current (A)}; UGBW and
+/// phase margin read 0 when the gain never crosses unity. Results do not
+/// depend on K. `hints` may be empty or hold one (possibly null)
+/// warm-start slot per design.
+std::vector<util::Expected<SpecVector>> simulate_two_stage(
     const std::vector<TwoStageParams>& params, const spice::TechCard& card,
     const OpampBuildOptions& options = {},
     const std::vector<eval::OpHint*>& hints = {});

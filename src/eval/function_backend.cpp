@@ -14,7 +14,11 @@ EvalResult FunctionBackend::do_evaluate(const ParamVector& params,
   const auto t0 = std::chrono::steady_clock::now();
   EvalResult result = [&]() -> EvalResult {
     try {
-      return fn_(params, hint != nullptr ? &hint->slot(0) : nullptr);
+      OpHint* slot = hint != nullptr ? &hint->slot(0) : nullptr;
+      if (batch_fn_ != nullptr) {
+        return std::move(batch_fn_({params}, {slot}).front());
+      }
+      return fn_(params, slot);
     } catch (const std::exception& e) {
       return util::Error{std::string("evaluator threw: ") + e.what(), -1};
     } catch (...) {

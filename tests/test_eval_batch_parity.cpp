@@ -9,8 +9,11 @@
 
 #include <complex>
 #include <cstddef>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/netlist_problem.hpp"
@@ -19,8 +22,13 @@
 #include "circuits/tia.hpp"
 #include "circuits/two_stage_opamp.hpp"
 #include "env/vector_env.hpp"
+#include "eval/backend.hpp"
 #include "linalg/sparse.hpp"
 #include "linalg/sparse_lu.hpp"
+#include "spice/ac.hpp"
+#include "spice/dc.hpp"
+#include "spice/noise.hpp"
+#include "spice/workspace.hpp"
 #include "util/rng.hpp"
 
 using namespace autockt;
@@ -224,17 +232,45 @@ TEST(BatchLuParity, SingularLaneFailsAloneAndLeavesOthersBitwise) {
   EXPECT_FALSE(scalar.refactor(lane_vals[1].data()));
 }
 
-// ---- circuit-level: simulate_*_batch vs the scalar simulators ---------------
+// ---- circuit-level: K lanes vs one lane per design --------------------------
 
 namespace {
 
-template <typename Result>
-void expect_same_outcome(const util::Expected<Result>& batch,
-                         const util::Expected<Result>& scalar,
-                         const std::string& what) {
-  ASSERT_EQ(batch.ok(), scalar.ok()) << what;
+using SpecResults = std::vector<util::Expected<eval::SpecVector>>;
+
+/// Same outcome and, on success, bitwise-equal specs.
+void expect_same_lane(const util::Expected<eval::SpecVector>& batch,
+                      const util::Expected<eval::SpecVector>& one,
+                      const std::string& what) {
+  ASSERT_EQ(batch.ok(), one.ok()) << what;
   if (!batch.ok()) {
-    EXPECT_EQ(batch.error().message, scalar.error().message) << what;
+    EXPECT_EQ(batch.error().message, one.error().message) << what;
+    return;
+  }
+  ASSERT_EQ(batch->size(), one->size()) << what;
+  for (std::size_t i = 0; i < one->size(); ++i) {
+    EXPECT_EQ((*batch)[i], (*one)[i]) << what << " spec " << i;
+  }
+}
+
+/// simulate(params) over K lanes against simulate({p}) per design, for
+/// ragged K; make(l) builds lane l's design.
+template <typename Simulate, typename Make>
+void expect_lane_parity(const std::string& label, Simulate simulate,
+                        Make make) {
+  for (const int K : {1, 3, 16}) {
+    std::vector<decltype(make(0))> params;
+    params.reserve(static_cast<std::size_t>(K));
+    for (int l = 0; l < K; ++l) params.push_back(make(l));
+    const SpecResults batch = simulate(params);
+    ASSERT_EQ(batch.size(), static_cast<std::size_t>(K));
+    for (std::size_t l = 0; l < params.size(); ++l) {
+      const SpecResults one = simulate({params[l]});
+      ASSERT_EQ(one.size(), 1u);
+      expect_same_lane(batch[l], one[0],
+                       label + " K=" + std::to_string(K) + " lane " +
+                           std::to_string(l));
+    }
   }
 }
 
@@ -242,94 +278,128 @@ void expect_same_outcome(const util::Expected<Result>& batch,
 
 TEST(BatchSimParity, TwoStageMatchesScalarBitwiseAcrossRaggedK) {
   const spice::TechCard card = spice::TechCard::ptm45();
-  for (const int K : {1, 3, 16}) {
-    std::vector<circuits::TwoStageParams> params;
-    for (int l = 0; l < K; ++l) {
-      circuits::TwoStageParams p;  // perturb around the defaults
-      p.w12 = (10.0 + static_cast<double>(l % 5)) * 1e-6;
-      p.w6 = (30.0 + 2.0 * static_cast<double>(l % 7)) * 1e-6;
-      p.cc = (0.6 + 0.05 * static_cast<double>(l % 4)) * 1e-12;
-      params.push_back(p);
-    }
-    const auto batch = circuits::simulate_two_stage_batch(params, card);
-    ASSERT_EQ(batch.size(), static_cast<std::size_t>(K));
-    for (int l = 0; l < K; ++l) {
-      const auto scalar = circuits::simulate_two_stage(params[l], card);
-      expect_same_outcome(batch[l], scalar,
-                          "two_stage K=" + std::to_string(K) + " lane " +
-                              std::to_string(l));
-      if (!scalar.ok()) continue;
-      EXPECT_EQ(batch[l]->gain, scalar->gain);
-      EXPECT_EQ(batch[l]->ugbw, scalar->ugbw);
-      EXPECT_EQ(batch[l]->phase_margin, scalar->phase_margin);
-      EXPECT_EQ(batch[l]->bias_current, scalar->bias_current);
-      EXPECT_EQ(batch[l]->ugbw_found, scalar->ugbw_found);
-    }
-  }
+  const auto make = [](int l) {
+    circuits::TwoStageParams p;  // perturb around the defaults
+    p.w12 = (10.0 + static_cast<double>(l % 5)) * 1e-6;
+    p.w6 = (30.0 + 2.0 * static_cast<double>(l % 7)) * 1e-6;
+    p.cc = (0.6 + 0.05 * static_cast<double>(l % 4)) * 1e-12;
+    return p;
+  };
+  const auto simulate = [&](const std::vector<circuits::TwoStageParams>& p) {
+    return circuits::simulate_two_stage(p, card);
+  };
+  expect_lane_parity("two_stage", simulate, make);
 }
 
 TEST(BatchSimParity, NgmOtaMatchesScalarBitwise) {
   const spice::TechCard card = spice::TechCard::finfet16();
-  const int K = 6;
-  std::vector<circuits::NgmParams> params;
-  for (int l = 0; l < K; ++l) {
+  const auto make = [](int l) {
     circuits::NgmParams p;
     p.nf_in = 20 + 4 * (l % 3);
     p.nf_cross = 6 + 2 * (l % 2);
     p.cc = (0.4 + 0.1 * static_cast<double>(l % 4)) * 1e-12;
-    params.push_back(p);
-  }
-  const auto batch = circuits::simulate_ngm_ota_batch(params, card);
-  for (int l = 0; l < K; ++l) {
-    const auto scalar = circuits::simulate_ngm_ota(params[l], card);
-    expect_same_outcome(batch[static_cast<std::size_t>(l)], scalar,
-                        "ngm lane " + std::to_string(l));
-    if (!scalar.ok()) continue;
-    const auto& b = *batch[static_cast<std::size_t>(l)];
-    EXPECT_EQ(b.gain, scalar->gain);
-    EXPECT_EQ(b.ugbw, scalar->ugbw);
-    EXPECT_EQ(b.phase_margin, scalar->phase_margin);
-    EXPECT_EQ(b.bias_current, scalar->bias_current);
-  }
+    return p;
+  };
+  const auto simulate = [&](const std::vector<circuits::NgmParams>& p) {
+    return circuits::simulate_ngm_ota(p, card);
+  };
+  expect_lane_parity("ngm", simulate, make);
 }
 
 TEST(BatchSimParity, TiaMatchesScalarBitwise) {
   const spice::TechCard card = spice::TechCard::ptm45();
-  const int K = 5;
-  std::vector<circuits::TiaParams> params;
-  for (int l = 0; l < K; ++l) {
+  const auto make = [](int l) {
     circuits::TiaParams p;
     p.wn = (4.0 + 2.0 * static_cast<double>(l % 3)) * 1e-6;
     p.n_series = 4 + 2 * (l % 4);
     p.n_parallel = 1 + (l % 3);
-    params.push_back(p);
+    return p;
+  };
+  const auto simulate = [&](const std::vector<circuits::TiaParams>& p) {
+    return circuits::simulate_tia(p, card);
+  };
+  expect_lane_parity("tia", simulate, make);
+}
+
+TEST(BatchSimParity, BatchedKernelsMatchScalarKernelsBitwise) {
+  // The lane pipeline runs every stage on the batched kernels, one lane
+  // included; the scalar kernels (characterize, netlist_cli) must agree
+  // with them bit for bit. TIA lanes exercise DC, AC and noise.
+  const spice::TechCard card = spice::TechCard::ptm45();
+  std::vector<spice::Circuit> ckts;
+  for (int l = 0; l < 3; ++l) {
+    circuits::TiaParams p;
+    p.wn = (4.0 + 2.0 * static_cast<double>(l)) * 1e-6;
+    p.n_series = 4 + 2 * l;
+    ckts.push_back(circuits::build_tia(p, card));
   }
-  const auto batch = circuits::simulate_tia_batch(params, card);
-  for (int l = 0; l < K; ++l) {
-    const auto scalar = circuits::simulate_tia(params[l], card);
-    expect_same_outcome(batch[static_cast<std::size_t>(l)], scalar,
-                        "tia lane " + std::to_string(l));
-    if (!scalar.ok()) continue;
-    const auto& b = *batch[static_cast<std::size_t>(l)];
-    EXPECT_EQ(b.settling_time, scalar->settling_time);
-    EXPECT_EQ(b.cutoff_freq, scalar->cutoff_freq);
-    EXPECT_EQ(b.input_noise, scalar->input_noise);
-    EXPECT_EQ(b.supply_current, scalar->supply_current);
+  spice::SimWorkspace& ws = spice::workspace_for(ckts[0], "tia_kernel_parity");
+  std::vector<const spice::Circuit*> ptrs;
+  std::vector<spice::DcOptions> dc(ckts.size());
+  for (std::size_t l = 0; l < ckts.size(); ++l) {
+    ptrs.push_back(&ckts[l]);
+    std::vector<double> v(ckts[l].num_nodes(), 0.0);
+    v[ckts[l].node("vdd")] = card.vdd;
+    v[ckts[l].node("in")] = card.vdd / 2.0;
+    v[ckts[l].node("out")] = card.vdd / 2.0;
+    dc[l].initial_node_v = v;
+    dc[l].workspace = &ws;
+  }
+  const spice::NodeId out = ckts[0].node("out");
+  spice::AcOptions ac;
+  ac.workspace = &ws;
+  spice::NoiseOptions nz;
+  nz.f_start = 1e3;
+  nz.f_stop = 1e10;
+  nz.points_per_decade = 4;
+  nz.workspace = &ws;
+
+  const auto ops = spice::solve_op_batch(ptrs, dc, ws);
+  std::vector<const spice::OpPoint*> op_ptrs;
+  for (std::size_t l = 0; l < ckts.size(); ++l) {
+    ASSERT_TRUE(ops[l].ok()) << "lane " << l;
+    op_ptrs.push_back(&*ops[l]);
+  }
+  const auto sweeps =
+      spice::ac_sweep_batch(ptrs, op_ptrs, out, spice::kGround, ac, ws);
+  const auto noises =
+      spice::noise_sweep_batch(ptrs, op_ptrs, out, spice::kGround, nz, ws);
+  for (std::size_t l = 0; l < ckts.size(); ++l) {
+    const auto op = spice::solve_op(ckts[l], dc[l]);
+    ASSERT_TRUE(op.ok()) << "lane " << l;
+    EXPECT_EQ(op->node_v, ops[l]->node_v) << "lane " << l;
+    EXPECT_EQ(op->branch_i, ops[l]->branch_i) << "lane " << l;
+
+    const auto sweep = spice::ac_sweep(ckts[l], *op, out, spice::kGround, ac);
+    ASSERT_TRUE(sweep.ok() && sweeps[l].ok()) << "lane " << l;
+    ASSERT_EQ(sweep->size(), sweeps[l]->size()) << "lane " << l;
+    for (std::size_t f = 0; f < sweep->size(); ++f) {
+      EXPECT_EQ((*sweep)[f].freq, (*sweeps[l])[f].freq) << "lane " << l;
+      EXPECT_EQ((*sweep)[f].value, (*sweeps[l])[f].value) << "lane " << l;
+    }
+
+    const auto noise =
+        spice::noise_sweep(ckts[l], *op, out, spice::kGround, nz);
+    ASSERT_TRUE(noise.ok() && noises[l].ok()) << "lane " << l;
+    EXPECT_EQ(noise->freq, noises[l]->freq) << "lane " << l;
+    EXPECT_EQ(noise->out_psd, noises[l]->out_psd) << "lane " << l;
+    EXPECT_EQ(noise->total_output_v2, noises[l]->total_output_v2)
+        << "lane " << l;
   }
 }
 
-// ---- problem-level: evaluate_batch with batch_kernel on vs off --------------
+// ---- problem-level: evaluate() per point vs evaluate_batch() ----------------
 
 namespace {
 
-/// Raw serial stacks (no cache, no pool) so each evaluate_batch reaches the
-/// leaf directly; `batch_kernel` is the only variable.
-circuits::ProblemOptions lean_options(bool batch_kernel) {
+/// Raw serial stacks (no cache, no pool) so every evaluate() and
+/// evaluate_batch() reaches the leaf: one point is a one-lane pipeline
+/// call, a batch is K lanes of one call.
+circuits::ProblemOptions lean_options() {
   circuits::ProblemOptions o;
   o.cache = false;
   o.parallel_batch = false;
   o.parallel_corners = false;
-  o.batch_kernel = batch_kernel;
   return o;
 }
 
@@ -350,74 +420,118 @@ std::vector<eval::ParamVector> center_batch(
   return points;
 }
 
-void expect_problem_batch_parity(circuits::SizingProblem batched,
-                                 circuits::SizingProblem scalar, int K,
-                                 const std::string& what) {
-  const auto points = center_batch(batched, K);
-  const auto via_batch = batched.backend->evaluate_batch(points);
-  const auto via_scalar = scalar.backend->evaluate_batch(points);
-  ASSERT_EQ(via_batch.size(), via_scalar.size()) << what;
-  for (int l = 0; l < K; ++l) {
-    const auto& b = via_batch[static_cast<std::size_t>(l)];
-    const auto& s = via_scalar[static_cast<std::size_t>(l)];
-    ASSERT_EQ(b.ok(), s.ok()) << what << " lane " << l;
-    if (!b.ok()) {
-      EXPECT_EQ(b.error().message, s.error().message) << what;
-      continue;
-    }
-    ASSERT_EQ(b->size(), s->size()) << what;
-    for (std::size_t i = 0; i < s->size(); ++i) {
-      EXPECT_EQ((*b)[i], (*s)[i])
-          << what << " lane " << l << " spec " << i;
-    }
+/// evaluate_batch(points) against evaluate(point) for each point; returns
+/// the batch results.
+SpecResults expect_problem_batch_parity(
+    const circuits::SizingProblem& prob,
+    const std::vector<eval::ParamVector>& points, const std::string& what) {
+  const SpecResults via_batch = prob.backend->evaluate_batch(points);
+  EXPECT_EQ(via_batch.size(), points.size()) << what;
+  for (std::size_t l = 0; l < points.size() && l < via_batch.size(); ++l) {
+    expect_same_lane(via_batch[l], prob.evaluate(points[l]),
+                     what + " lane " + std::to_string(l));
   }
+  return via_batch;
 }
 
 }  // namespace
 
 TEST(BatchProblemParity, BuiltinProblems) {
-  expect_problem_batch_parity(
-      circuits::make_tia_problem(lean_options(true)),
-      circuits::make_tia_problem(lean_options(false)), 5, "tia");
-  expect_problem_batch_parity(
-      circuits::make_two_stage_problem(lean_options(true)),
-      circuits::make_two_stage_problem(lean_options(false)), 5, "two_stage");
-  expect_problem_batch_parity(
-      circuits::make_ngm_problem(lean_options(true)),
-      circuits::make_ngm_problem(lean_options(false)), 5, "ngm_ota");
-  // The PEX problem's leaf is the corner fan-out; batch_kernel is a no-op
-  // there, but the contract (same values either way) must still hold.
-  expect_problem_batch_parity(
-      circuits::make_ngm_pex_problem(lean_options(true)),
-      circuits::make_ngm_pex_problem(lean_options(false)), 2, "ngm_ota_pex");
+  for (const auto& prob : {circuits::make_tia_problem(lean_options()),
+                           circuits::make_two_stage_problem(lean_options()),
+                           circuits::make_ngm_problem(lean_options())}) {
+    expect_problem_batch_parity(prob, center_batch(prob, 5), prob.name);
+  }
+  // The PEX leaf is the corner fan-out, one lane per corner; the contract
+  // (same values either way) must still hold.
+  const auto pex = circuits::make_ngm_pex_problem(lean_options());
+  expect_problem_batch_parity(pex, center_batch(pex, 2), pex.name);
 }
 
 TEST(BatchProblemParity, ShippedDecks) {
   const std::string dir = std::string(AUTOCKT_SOURCE_DIR) + "/examples/decks";
   for (const char* deck :
        {"rc_buffer.cir", "common_source.cir", "five_t_ota.cir"}) {
-    const std::string path = dir + "/" + deck;
-    auto batched = circuits::make_netlist_problem_from_file(
-        path, lean_options(true));
-    ASSERT_TRUE(batched.ok()) << deck << ": " << batched.error().message;
-    auto scalar = circuits::make_netlist_problem_from_file(
-        path, lean_options(false));
-    ASSERT_TRUE(scalar.ok()) << deck;
-    expect_problem_batch_parity(std::move(*batched), std::move(*scalar), 6,
-                                deck);
+    auto prob = circuits::make_netlist_problem_from_file(dir + "/" + deck,
+                                                         lean_options());
+    ASSERT_TRUE(prob.ok()) << deck << ": " << prob.error().message;
+    expect_problem_batch_parity(*prob, center_batch(*prob, 6), deck);
+  }
+}
+
+TEST(BatchProblemParity, DeckBatchWithMixedOutcomes) {
+  // The shipped RC buffer with its load resistor swept through zero: the
+  // grid {-500, 0, 500, 1000, 1500} Ohm passes lint (the default instance
+  // is the 500 Ohm centre), but the first two points cannot instantiate.
+  // One batch then mixes failed and simulated lanes, and each lane must
+  // match its own per-point evaluation.
+  std::ifstream in(std::string(AUTOCKT_SOURCE_DIR) +
+                   "/examples/decks/rc_buffer.cir");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string deck = text.str();
+  const std::string load = "rload out mid 500";
+  ASSERT_NE(deck.find(load), std::string::npos);
+  deck.replace(deck.find(load), load.size(), "rload out mid {rl}");
+  deck.insert(deck.find("vsup "), ".param rl -500 1500 5\n");
+
+  auto prob =
+      circuits::make_netlist_problem_from_text(deck, "mixed", lean_options());
+  ASSERT_TRUE(prob.ok()) << prob.error().message;
+  ASSERT_EQ(prob->params.back().name, "rl");
+  eval::ParamVector center = prob->center_params();
+  std::vector<eval::ParamVector> points;
+  for (int rl = 0; rl < 5; ++rl) {
+    center.back() = rl;
+    points.push_back(center);
+  }
+  const SpecResults batch = expect_problem_batch_parity(*prob, points, "mixed");
+  ASSERT_EQ(batch.size(), 5u);
+  for (std::size_t l = 0; l < 5; ++l) {
+    ASSERT_EQ(batch[l].ok(), l >= 2) << "lane " << l;
+    if (l < 2) {
+      EXPECT_NE(batch[l].error().message.find("resistance must be positive"),
+                std::string::npos)
+          << batch[l].error().message;
+    }
   }
 }
 
 // ---- env-level: VectorSizingEnv lockstep equivalence ------------------------
 
+namespace {
+
+/// Evaluates one point at a time through the leaf's evaluate() (one lane)
+/// and inherits the serial-loop evaluate_batch().
+class PerPointBackend : public eval::EvalBackend {
+ public:
+  explicit PerPointBackend(std::shared_ptr<eval::EvalBackend> leaf)
+      : leaf_(std::move(leaf)) {}
+  std::string name() const override { return "per_point"; }
+
+ protected:
+  eval::EvalResult do_evaluate(const eval::ParamVector& params,
+                               eval::SimHint* hint) override {
+    return leaf_->evaluate(params, hint);
+  }
+
+ private:
+  std::shared_ptr<eval::EvalBackend> leaf_;
+};
+
+}  // namespace
+
 TEST(BatchEnvParity, VectorEnvTicksMatchScalarBackendBitwise) {
-  // Same seeds, same targets, same scripted actions: an env over the
-  // batch-kernel problem must emit bitwise-identical trajectories to one
-  // over the scalar-kernel problem.
+  // Same seeds, same targets, same scripted actions: an env whose ticks
+  // reach the leaf as K-lane batches must emit bitwise-identical
+  // trajectories to one whose ticks loop over one-lane evaluations.
   auto batched = std::make_shared<const circuits::SizingProblem>(
-      circuits::make_two_stage_problem(lean_options(true)));
-  auto scalar = std::make_shared<const circuits::SizingProblem>(
-      circuits::make_two_stage_problem(lean_options(false)));
+      circuits::make_two_stage_problem(lean_options()));
+  circuits::SizingProblem per_point = *batched;
+  per_point.backend = std::make_shared<PerPointBackend>(batched->backend);
+  auto scalar =
+      std::make_shared<const circuits::SizingProblem>(std::move(per_point));
 
   env::EnvConfig config;
   config.horizon = 4;

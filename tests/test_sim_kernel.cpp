@@ -481,10 +481,7 @@ TEST(KernelStats, TiaWarmWalkCountersAreReproducible) {
     for (int i = 0; i < 16; ++i) {
       circuits::TiaParams p;
       p.mn = 8 + (i % 4);
-      circuits::TiaBuildOptions opt;
-      opt.kernel = SimKernel::Sparse;
-      opt.hint = &hint;
-      EXPECT_TRUE(circuits::simulate_tia(p, card, opt).ok());
+      EXPECT_TRUE(circuits::simulate_tia({p}, card, {}, {&hint})[0].ok());
     }
     return spice::kernel_stats_snapshot();
   };

@@ -175,7 +175,7 @@ TEST(Trace, CharacterizationCountsAreDeterministic) {
   ASSERT_TRUE(first.count(trace::names::kEvalSimulate));
   EXPECT_EQ(first.at(trace::names::kEvalSimulate), 3);
   EXPECT_GT(first.at(trace::names::kSimNewtonIterations), 0);
-  EXPECT_GT(first.at(trace::names::kSimSolveComplex), 0);
+  EXPECT_GT(first.at(trace::names::kSimSolveComplexBatch), 0);
 }
 
 TEST(Trace, TrainingCountsAreDeterministic) {
