@@ -83,6 +83,25 @@ void check_params(const NetlistDeck& deck, std::vector<Diagnostic>& out) {
                          "change the circuit"));
     }
 
+    // AC208: a batch runs every lane with one set of .ac/.noise settings,
+    // so those lines must not vary with the design point (.tran may: each
+    // lane's transient reads its own instantiation).
+    for (const NetlistDeck::RawLine& raw : deck.lines) {
+      const std::string head = raw.tokens.empty() ? "" : lower(raw.tokens[0]);
+      if (head != ".ac" && head != ".noise") continue;
+      for (std::size_t i = 0; i < raw.tokens.size(); ++i) {
+        if (lower(raw.tokens[i]).find(ref) == std::string::npos) continue;
+        const std::size_t col = i < raw.cols.size() ? raw.cols[i] : 0;
+        out.push_back(make("AC208", raw.no, col,
+                           "design variable '" + p.name +
+                               "' referenced in an " + head + " line",
+                           "a batch evaluates every lane with the analysis "
+                           "settings of one; fix the sweep or move the "
+                           "variable to an element line"));
+        break;
+      }
+    }
+
     // AC202: a one-point grid declared with a non-trivial range.
     if (p.steps == 1 && p.lo != p.hi) {
       out.push_back(make("AC202", p.line_no, 0,

@@ -19,6 +19,8 @@
 //          that is absent or carries no branch current
 //   AC206  .spec with no .measure binding
 //   AC207  .param name shadows an element name
+//   AC208  design variable referenced in an .ac/.noise line (one batch runs
+//          every lane with one lane's analysis settings)
 //
 // When the deck instantiates, the topology analyzers of circuit_lint.hpp
 // (AC101..AC108) run on the resulting circuit with findings attributed back

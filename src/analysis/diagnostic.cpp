@@ -66,6 +66,8 @@ const std::vector<DiagnosticDef>& diagnostic_catalog() {
        ".measure binding cannot be satisfied by the netlist"},
       {"AC206", Severity::Error, ".spec has no .measure binding"},
       {"AC207", Severity::Warning, ".param name shadows an element name"},
+      {"AC208", Severity::Error,
+       "design variable referenced in an .ac/.noise line"},
   };
   return kCatalog;
 }

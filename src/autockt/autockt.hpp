@@ -13,6 +13,7 @@
 #include "env/sizing_env.hpp"
 #include "env/vector_env.hpp"
 #include "eval/stats.hpp"
+#include "rl/deploy.hpp"
 #include "rl/ppo.hpp"
 #include "spec/spec_suite.hpp"
 #include "spec/target_sampler.hpp"
@@ -77,13 +78,7 @@ util::Expected<ScenarioTrainOutcome> train_agent(
     const AutoCktConfig& config,
     const std::function<void(const rl::IterationStats&)>& on_iteration = {});
 
-struct DeployRecord {
-  circuits::SpecVector target;
-  circuits::SpecVector final_specs;
-  int steps = 0;        // simulation steps consumed (paper's SE metric)
-  bool reached = false;
-  circuits::ParamVector final_params;
-};
+using DeployRecord = rl::DeployRecord;
 
 struct DeployStats {
   std::vector<DeployRecord> records;
@@ -103,19 +98,12 @@ struct DeployStats {
 };
 
 /// Deploy the frozen agent on a list of targets (paper Fig. 3, deployment
-/// half). The environment may wrap a different evaluation backend than the
-/// one trained on (transfer learning to PEX, Fig. 13). With `stochastic`
-/// false the first attempt is greedy (stopping early at policy fixed
-/// points); if it fails, up to `stochastic_retries` sampled-policy episodes
-/// follow — the paper's RLlib rollouts sample by default. ALL simulation
-/// steps across attempts are charged to the target's step count, so sample
-/// efficiency stays honestly accounted.
-///
-/// Targets roll out through a VectorSizingEnv of up to `lanes` lockstep
-/// lanes: one batched policy forward and one evaluate_batch() per tick,
-/// with finished lanes refilled from the target queue. Per-target RNG
-/// streams are derived from (seed, target index) only, so records are
-/// identical for any lane count — lanes change wall-clock, never results.
+/// half): rl::deploy_targets (greedy first attempt with fixed-point halt,
+/// then up to `stochastic_retries` sampled episodes, every step charged;
+/// records identical for any lane count) wrapped in a deploy/run span and
+/// the backend's EvalStats delta. The environment may wrap a different
+/// evaluation backend than the one trained on (transfer learning to PEX,
+/// Fig. 13).
 DeployStats deploy_agent(const rl::PpoAgent& agent,
                          std::shared_ptr<const circuits::SizingProblem> problem,
                          const std::vector<circuits::SpecVector>& targets,

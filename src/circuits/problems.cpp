@@ -66,8 +66,7 @@ std::shared_ptr<eval::EvalBackend> wrap_cache(
     return std::make_shared<eval::CachedBackend>(std::move(backend),
                                                  store.value());
   }
-  return std::make_shared<eval::CachedBackend>(std::move(backend),
-                                               options.cache_shards);
+  return std::make_shared<eval::CachedBackend>(std::move(backend));
 }
 
 /// Fork the leaf across worker processes. The factory runs in each CHILD

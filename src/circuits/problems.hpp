@@ -32,7 +32,6 @@ namespace autockt::circuits {
 /// Backend-stack configuration shared by all problem factories.
 struct ProblemOptions {
   bool cache = true;            // sharded memo cache over the grid
-  std::size_t cache_shards = 16;
   bool parallel_batch = true;   // evaluate_batch() over the worker pool
   bool parallel_corners = true; // PEX only: PVT corners fanned out
   /// Worker pool for batch/corner fan-out; null uses the process-wide

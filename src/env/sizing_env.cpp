@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "spec/target_sampler.hpp"
+
 namespace autockt::env {
 
 using circuits::ParamVector;
@@ -16,12 +18,6 @@ SizingEnv::SizingEnv(std::shared_ptr<const circuits::SizingProblem> problem,
   // SpecSpace the samplers use, so the two can never drift (and invalid
   // spec definitions are rejected here, at construction).
   target_ = spec::SpecSpace(*problem_).midpoint();
-}
-
-void SizingEnv::set_target_sampler(
-    std::shared_ptr<spec::TargetSampler> sampler, std::uint64_t seed) {
-  sampler_ = std::move(sampler);
-  sampler_rng_.reseed(seed);
 }
 
 int SizingEnv::obs_size() const {
@@ -45,7 +41,6 @@ std::vector<double> SizingEnv::reset() {
 }
 
 const ParamVector& SizingEnv::begin_reset() {
-  if (sampler_) target_ = sampler_->sample(sampler_rng_);
   params_ = problem_->center_params();
   steps_ = 0;
   // Episodes cold-start: warm hints never leak across episode boundaries,
@@ -114,9 +109,6 @@ SizingEnv::StepResult SizingEnv::finish_step(eval::EvalResult result) {
   out.reward = current_reward();
   out.done = out.goal_met || steps_ >= config_.horizon;
   out.obs = observe();
-  // Close the curriculum feedback loop: the episode's outcome flows back to
-  // the sampler that chose its target.
-  if (out.done && sampler_) sampler_->record_outcome(target_, out.goal_met);
   return out;
 }
 

@@ -17,7 +17,6 @@
 
 #include "circuits/sizing_problem.hpp"
 #include "eval/types.hpp"
-#include "spec/target_sampler.hpp"
 #include "util/rng.hpp"
 
 namespace autockt::env {
@@ -47,22 +46,6 @@ class SizingEnv {
   // ---- episode control ---------------------------------------------------
   void set_target(circuits::SpecVector target);
   const circuits::SpecVector& target() const { return target_; }
-
-  /// Attach a target sampler: every reset draws a fresh target from it
-  /// (through an env-owned stream seeded by `seed`), and every episode end
-  /// reports (target, goal_met) back via record_outcome — the feedback loop
-  /// CurriculumSampler learns from. The seed is explicit on purpose: give
-  /// every env its own stream (util::stream_seed) or several envs will
-  /// train on perfectly correlated target sequences. Passing a null
-  /// sampler detaches; set_target still overrides the target of the next
-  /// episode until the following reset. Lanes inside a VectorSizingEnv are
-  /// driven by the vector env's own sampler plumbing instead (per-lane
-  /// streams).
-  void set_target_sampler(std::shared_ptr<spec::TargetSampler> sampler,
-                          std::uint64_t seed);
-  const std::shared_ptr<spec::TargetSampler>& target_sampler() const {
-    return sampler_;
-  }
 
   /// Start an episode from the grid centre; returns the first observation.
   std::vector<double> reset();
@@ -121,8 +104,6 @@ class SizingEnv {
 
   std::shared_ptr<const circuits::SizingProblem> problem_;
   EnvConfig config_;
-  std::shared_ptr<spec::TargetSampler> sampler_;  // optional
-  util::Rng sampler_rng_;
   circuits::SpecVector target_;
   circuits::ParamVector params_;
   circuits::SpecVector cur_specs_;

@@ -43,29 +43,9 @@ void VectorSizingEnv::seed_lane(int lane, std::uint64_t seed) {
   rngs_[check_lane(lane)].reseed(seed);
 }
 
-void VectorSizingEnv::set_target_sampler(TargetSampler sampler) {
-  target_sampler_ = std::move(sampler);
-  spec_sampler_.reset();
-  report_outcomes_ = false;
-}
-
 void VectorSizingEnv::set_target_sampler(
-    std::shared_ptr<spec::TargetSampler> sampler, bool report_outcomes) {
-  if (!sampler) {
-    clear_target_sampler();
-    return;
-  }
-  spec_sampler_ = std::move(sampler);
-  report_outcomes_ = report_outcomes;
-  target_sampler_ = [s = spec_sampler_](int /*lane*/, util::Rng& rng) {
-    return s->sample(rng);
-  };
-}
-
-void VectorSizingEnv::clear_target_sampler() {
-  target_sampler_ = nullptr;
-  spec_sampler_.reset();
-  report_outcomes_ = false;
+    std::shared_ptr<spec::TargetSampler> sampler) {
+  sampler_ = std::move(sampler);
 }
 
 void VectorSizingEnv::set_target(int lane, circuits::SpecVector target) {
@@ -98,9 +78,7 @@ std::vector<std::vector<double>> VectorSizingEnv::do_reset(
   hints.reserve(lanes.size());
   for (int i : lanes) {
     const std::size_t li = check_lane(i);
-    if (target_sampler_) {
-      lanes_[li].set_target(target_sampler_(i, rngs_[li]));
-    }
+    if (sampler_) lanes_[li].set_target(sampler_->sample(rngs_[li]));
     points.push_back(lanes_[li].begin_reset());
     hints.push_back(lanes_[li].pending_hint());
   }
@@ -150,11 +128,6 @@ std::vector<VectorSizingEnv::LaneStep> VectorSizingEnv::step_all(
     const int i = stepped[k];
     const std::size_t li = static_cast<std::size_t>(i);
     SizingEnv::StepResult sr = lanes_[li].finish_step(std::move(results[k]));
-    if (sr.done && report_outcomes_) {
-      // The lane's target is still the finished episode's target here (the
-      // auto-reset that may replace it happens in phase 3 below).
-      spec_sampler_->record_outcome(lanes_[li].target(), sr.goal_met);
-    }
     LaneStep& ls = out[li];
     ls.stepped = true;
     ls.reward = sr.reward;

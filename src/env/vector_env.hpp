@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "env/sizing_env.hpp"
+#include "spec/target_sampler.hpp"
 #include "util/rng.hpp"
 
 namespace autockt::env {
@@ -48,23 +49,11 @@ class VectorSizingEnv {
   util::Rng& lane_rng(int lane) { return rngs_[check_lane(lane)]; }
 
   // ---- targets ------------------------------------------------------------
-  /// Sampler invoked (with the lane's own RNG) on reset_all() and on every
-  /// auto-reset. Without one, lanes keep their current targets.
-  using TargetSampler =
-      std::function<circuits::SpecVector(int lane, util::Rng& rng)>;
-  void set_target_sampler(TargetSampler sampler);
-
-  /// First-class spec-subsystem sampler: resets draw sampler->sample(rng)
-  /// from each lane's own stream; with `report_outcomes` every finished
-  /// episode additionally feeds (target, goal_met) back through
-  /// record_outcome — the serial curriculum loop. Leave reporting off when
-  /// a trainer wants to replay outcomes itself in a deterministic order
-  /// across many vector envs (rl/ppo.cpp does). Replaces any previously
-  /// set sampler of either kind; clear_target_sampler() detaches.
-  void set_target_sampler(std::shared_ptr<spec::TargetSampler> sampler,
-                          bool report_outcomes = false);
-  /// Detach any sampler (of either kind); lanes keep their current targets.
-  void clear_target_sampler();
+  /// Target sampler drawn from (with the lane's own stream) on reset_all()
+  /// and on every auto-reset; null detaches, and lanes then keep their
+  /// current targets. Outcomes are not reported back: a trainer replays
+  /// them to record_outcome itself, in a deterministic order (rl/ppo.cpp).
+  void set_target_sampler(std::shared_ptr<spec::TargetSampler> sampler);
   void set_target(int lane, circuits::SpecVector target);
   const circuits::SpecVector& target(int lane) const {
     return lanes_[check_lane(lane)].target();
@@ -122,9 +111,7 @@ class VectorSizingEnv {
   std::vector<SizingEnv> lanes_;
   std::vector<util::Rng> rngs_;
   std::vector<char> running_;  // char, not bool: lanes mutate independently
-  TargetSampler target_sampler_;
-  std::shared_ptr<spec::TargetSampler> spec_sampler_;
-  bool report_outcomes_ = false;
+  std::shared_ptr<spec::TargetSampler> sampler_;  // optional
 };
 
 }  // namespace autockt::env

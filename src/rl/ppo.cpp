@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "nn/categorical.hpp"
+#include "rl/deploy.hpp"
 #include "trace/names.hpp"
 #include "trace/trace.hpp"
 
@@ -100,33 +101,19 @@ PpoAgent::PpoAgent(int obs_size, int num_params, PpoConfig config)
 
 std::vector<int> PpoAgent::act_sample(const std::vector<double>& obs,
                                       util::Rng& rng, double* logp_out) const {
-  const std::vector<double> logits = policy_.forward(obs);
-  std::vector<int> action(static_cast<std::size_t>(num_params_), 1);
-  double logp = 0.0;
-  for (int h = 0; h < num_params_; ++h) {
-    const auto probs = nn::softmax_slice(
-        logits, static_cast<std::size_t>(h) * kActions, kActions);
-    const int a = nn::sample_categorical(probs, rng);
-    action[static_cast<std::size_t>(h)] = a;
-    logp += std::log(std::max(probs[static_cast<std::size_t>(a)], 1e-12));
-  }
-  if (logp_out != nullptr) *logp_out = logp;
+  std::vector<double> logps;
+  std::vector<int> action =
+      act_sample_batch(obs, 1, {&rng}, logp_out != nullptr ? &logps : nullptr);
+  if (logp_out != nullptr) *logp_out = logps[0];
   return action;
 }
 
 std::vector<int> PpoAgent::act_greedy(const std::vector<double>& obs) const {
-  const std::vector<double> logits = policy_.forward(obs);
-  std::vector<int> action(static_cast<std::size_t>(num_params_), 1);
-  for (int h = 0; h < num_params_; ++h) {
-    const auto probs = nn::softmax_slice(
-        logits, static_cast<std::size_t>(h) * kActions, kActions);
-    action[static_cast<std::size_t>(h)] = nn::argmax(probs);
-  }
-  return action;
+  return act_greedy_batch(obs, 1);
 }
 
 double PpoAgent::value(const std::vector<double>& obs) const {
-  return value_.forward(obs)[0];
+  return value_batch(obs, 1)[0];
 }
 
 std::vector<int> PpoAgent::act_sample_batch(
@@ -149,97 +136,6 @@ std::vector<int> PpoAgent::act_greedy_batch(const std::vector<double>& obs_rows,
 std::vector<double> PpoAgent::value_batch(const std::vector<double>& obs_rows,
                                           int rows) const {
   return value_.forward_batch(obs_rows, rows);
-}
-
-TrainHistory PpoAgent::train(
-    const std::function<env::SizingEnv()>& env_factory,
-    const std::vector<circuits::SpecVector>& train_targets,
-    const std::function<void(const IterationStats&)>& on_iteration) {
-  if (train_targets.empty()) {
-    throw std::invalid_argument("PpoAgent::train: no training targets");
-  }
-  TrainOptions options;
-  options.sampler = std::make_shared<spec::SuiteSampler>(train_targets);
-  return train(env_factory, options, on_iteration);
-}
-
-double PpoAgent::evaluate_goal_rate(
-    const std::function<env::SizingEnv()>& env_factory,
-    const std::vector<circuits::SpecVector>& targets,
-    int holdout_lanes) const {
-  if (targets.empty()) return -1.0;
-  trace::TraceSpan span(trace::names::kRlHoldoutProbe);
-  env::SizingEnv probe = env_factory();
-  // Cold-start every evaluation: holdout probes interleave with training
-  // collection on the shared backend cache, and pinning warm-start off
-  // keeps every memoized result identical to the cold path (the same
-  // contract multi-worker collection relies on).
-  env::EnvConfig holdout_config = probe.config();
-  holdout_config.warm_start = false;
-  const int L = std::max(
-      1, std::min(holdout_lanes, static_cast<int>(targets.size())));
-  env::VectorSizingEnv venv(probe.problem_ptr(), holdout_config, L);
-
-  std::vector<int> lane_target(static_cast<std::size_t>(L), -1);
-  std::vector<std::vector<double>> obs(static_cast<std::size_t>(L));
-  std::size_t next = 0;
-  auto assign = [&](int i) {
-    if (next >= targets.size()) return false;
-    lane_target[static_cast<std::size_t>(i)] = static_cast<int>(next);
-    venv.set_target(i, targets[next++]);
-    return true;
-  };
-  std::vector<int> to_reset;
-  for (int i = 0; i < L; ++i) {
-    if (assign(i)) to_reset.push_back(i);
-  }
-  {
-    auto fresh = venv.reset_lanes(to_reset);
-    for (std::size_t k = 0; k < to_reset.size(); ++k) {
-      obs[static_cast<std::size_t>(to_reset[k])] = std::move(fresh[k]);
-    }
-  }
-
-  int reached = 0;
-  std::vector<std::vector<int>> actions(static_cast<std::size_t>(L));
-  std::vector<int> act_lanes;
-  std::vector<double> rows;
-  while (venv.running_count() > 0) {
-    act_lanes.clear();
-    rows.clear();
-    for (int i = 0; i < L; ++i) {
-      if (!venv.lane_running(i)) continue;
-      act_lanes.push_back(i);
-      const auto& o = obs[static_cast<std::size_t>(i)];
-      rows.insert(rows.end(), o.begin(), o.end());
-    }
-    const int n = static_cast<int>(act_lanes.size());
-    const std::vector<int> acts = act_greedy_batch(rows, n);
-    for (int k = 0; k < n; ++k) {
-      actions[static_cast<std::size_t>(act_lanes[k])].assign(
-          acts.begin() + static_cast<std::size_t>(k) * num_params_,
-          acts.begin() + static_cast<std::size_t>(k + 1) * num_params_);
-    }
-    const auto results = venv.step_all(actions, [](int) { return false; });
-    to_reset.clear();
-    for (int i = 0; i < L; ++i) {
-      const auto& ls = results[static_cast<std::size_t>(i)];
-      if (!ls.stepped) continue;
-      if (!ls.done) {
-        obs[static_cast<std::size_t>(i)] = ls.obs;
-        continue;
-      }
-      reached += ls.goal_met ? 1 : 0;
-      if (assign(i)) to_reset.push_back(i);
-    }
-    if (!to_reset.empty()) {
-      auto fresh = venv.reset_lanes(to_reset);
-      for (std::size_t k = 0; k < to_reset.size(); ++k) {
-        obs[static_cast<std::size_t>(to_reset[k])] = std::move(fresh[k]);
-      }
-    }
-  }
-  return static_cast<double>(reached) / static_cast<double>(targets.size());
 }
 
 TrainHistory PpoAgent::train(
@@ -335,9 +231,9 @@ TrainHistory PpoAgent::train(
       for (int i = 0; i < L; ++i) {
         venv.seed_lane(i, lane_seeds[static_cast<std::size_t>(base + i)]);
       }
-      // Outcome reporting stays off: this worker buffers outcomes and the
+      // The sampler only draws here: this worker buffers outcomes and the
       // trainer replays them in global lane order after the join.
-      venv.set_target_sampler(options.sampler, /*report_outcomes=*/false);
+      venv.set_target_sampler(options.sampler);
 
       std::vector<int> lane_steps(static_cast<std::size_t>(L), 0);
       std::vector<Episode> current(static_cast<std::size_t>(L));
@@ -637,8 +533,20 @@ TrainHistory PpoAgent::train(
 
     if (!options.holdout.empty() &&
         (iter % options.holdout_interval == 0 || last_iteration)) {
-      stats.holdout_goal_rate = evaluate_goal_rate(
-          env_factory, options.holdout.targets(), options.holdout_lanes);
+      // Cold-start the probe: it interleaves with collection on the shared
+      // backend cache, and warm start off keeps every memoized result
+      // identical to the cold path (the contract collection relies on).
+      trace::TraceSpan probe_span(trace::names::kRlHoldoutProbe);
+      env::EnvConfig holdout_config = stats_probe.config();
+      holdout_config.warm_start = false;
+      const std::vector<DeployRecord> records = deploy_targets(
+          *this, stats_probe.problem_ptr(), options.holdout.targets(),
+          holdout_config, /*stochastic=*/false, config_.seed,
+          /*stochastic_retries=*/0);
+      long reached = 0;
+      for (const DeployRecord& r : records) reached += r.reached ? 1 : 0;
+      stats.holdout_goal_rate =
+          static_cast<double>(reached) / static_cast<double>(records.size());
       stats.holdout_evaluated = true;
       history.final_holdout_goal_rate = stats.holdout_goal_rate;
     }

@@ -94,7 +94,7 @@ struct IterationStats {
   /// real simulations vs cache hits — the paper's true cost axis.
   long cumulative_simulations = 0;
   long cumulative_cache_hits = 0;
-  /// Generalization probe: greedy goal-met rate on the frozen holdout
+  /// Generalization probe: greedy deployment reach on the frozen holdout
   /// suite (TrainOptions::holdout), refreshed every holdout_interval
   /// iterations and on the final one. Compare against goal_rate (the
   /// train-sampler rate) to watch the generalization gap. Meaningful only
@@ -127,14 +127,11 @@ struct TrainOptions {
   /// (the sampling distribution is frozen within an iteration).
   std::shared_ptr<spec::TargetSampler> sampler;
   /// Frozen holdout suite the agent never trains on. When non-empty, every
-  /// holdout_interval-th iteration (and the last) rolls every holdout
-  /// target out greedily and reports the goal-met rate in
-  /// IterationStats::holdout_goal_rate.
+  /// holdout_interval-th iteration (and the last) deploys the policy on it
+  /// (rl::deploy_targets: greedy, no retries, warm start off) and reports
+  /// the reached fraction in IterationStats::holdout_goal_rate.
   spec::SpecSuite holdout;
   int holdout_interval = 5;
-  /// Lockstep lanes for the holdout rollouts (cost control only; results
-  /// are lane-count-invariant).
-  int holdout_lanes = 8;
 };
 
 class PpoAgent {
@@ -152,9 +149,9 @@ class PpoAgent {
   double value(const std::vector<double>& obs) const;
 
   // ---- batched inference (one GEMM per layer over all rows) --------------
-  // `obs_rows` holds `rows` observations stacked row-major. Row r of the
-  // result equals the corresponding single-row call bitwise; sampling draws
-  // from rngs[r], preserving per-lane stream discipline. Thread-safe.
+  // `obs_rows` holds `rows` observations stacked row-major; the single-row
+  // calls above are one-row calls of these. Sampling draws row r from
+  // rngs[r], preserving per-lane stream discipline. Thread-safe.
 
   /// Returns rows x num_params actions row-major; optional per-row summed
   /// log-probabilities in `logps`.
@@ -180,24 +177,6 @@ class PpoAgent {
       const std::function<env::SizingEnv()>& env_factory,
       const TrainOptions& options,
       const std::function<void(const IterationStats&)>& on_iteration = {});
-
-  /// Compatibility form — the paper's protocol: each episode uses a target
-  /// drawn uniformly from `train_targets` (the paper's 50 sampled target
-  /// specifications), no holdout probe. Identical to passing a
-  /// spec::SuiteSampler over the same targets (bitwise, for a fixed seed).
-  TrainHistory train(
-      const std::function<env::SizingEnv()>& env_factory,
-      const std::vector<circuits::SpecVector>& train_targets,
-      const std::function<void(const IterationStats&)>& on_iteration = {});
-
-  /// Greedy goal-met rate of the current policy over an explicit target
-  /// set, rolled out through `holdout_lanes` lockstep lanes. Deterministic
-  /// (greedy policy, fixed targets) and lane-count-invariant. Used for the
-  /// holdout probe; public so tools can score checkpoints on any suite.
-  double evaluate_goal_rate(
-      const std::function<env::SizingEnv()>& env_factory,
-      const std::vector<circuits::SpecVector>& targets,
-      int holdout_lanes = 8) const;
 
   int obs_size() const { return obs_size_; }
   int num_params() const { return num_params_; }

@@ -43,7 +43,8 @@ const std::vector<NameInfo>& registry() {
       {kRlIteration, "span", "one PPO training iteration (collect + update)"},
       {kRlCollect, "span", "rollout collection phase of a PPO iteration"},
       {kRlUpdate, "span", "clipped-surrogate update phase of a PPO iteration"},
-      {kRlHoldoutProbe, "span", "greedy goal-rate probe over the holdout suite"},
+      {kRlHoldoutProbe, "span",
+       "holdout probe: greedy rl::deploy_targets over the holdout suite"},
       {kDeployRun, "span", "one deploy_agent() call over a target set"},
       {kEvalDiskReplay, "span",
        "DiskLogStore open(): replaying the on-disk log into the memo index"},

@@ -163,6 +163,27 @@ TEST(AutoCkt, TrainAgentProducesSuitesAndHoldoutProbe) {
   EXPECT_GT(outcome.history.final_holdout_goal_rate, 0.5);
 }
 
+TEST(AutoCkt, HoldoutProbeIsAGreedyDeployment) {
+  // The mid-training probe is the deploy loop run greedily, with no
+  // retries and warm start off, so a deployment of the trained agent under
+  // those settings reaches exactly the probe's final rate.
+  auto prob = synth();
+  auto config = small_config();
+  config.ppo.max_iterations = 2;
+  config.env_config.horizon = 2;  // too short for some holdout targets
+  config.holdout_target_count = 12;
+  auto outcome = core::train_agent(prob, config);
+  env::EnvConfig env_config = config.env_config;
+  env_config.warm_start = false;
+  const auto stats = core::deploy_agent(
+      outcome.agent, prob, outcome.holdout_suite, env_config,
+      /*stochastic=*/false, /*seed=*/99, /*stochastic_retries=*/0);
+  EXPECT_EQ(stats.total(), 12);
+  EXPECT_GT(stats.reached_count(), 0);
+  EXPECT_LT(stats.reached_count(), 12);
+  EXPECT_EQ(stats.reach_fraction(), outcome.history.final_holdout_goal_rate);
+}
+
 TEST(AutoCkt, HoldoutSuiteIsInvariantUnderTrainingSeed) {
   auto prob = synth();
   auto config = small_config();

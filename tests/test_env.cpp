@@ -192,47 +192,6 @@ TEST(SizingEnv, SparseAndEq1PathsDifferOnlyInShaping) {
   }
 }
 
-// ---- env-attached target samplers ------------------------------------------
-
-TEST(SizingEnv, SamplerResamplesTargetEveryReset) {
-  auto prob = synth();
-  SizingEnv env(prob, EnvConfig{});
-  auto sampler = std::make_shared<spec::UniformSampler>(
-      spec::SpecSpace(*prob));
-  env.set_target_sampler(sampler, /*seed=*/42);
-  env.reset();
-  const auto t1 = env.target();
-  env.reset();
-  const auto t2 = env.target();
-  EXPECT_NE(t1, t2);
-  // Reseeding the sampler stream reproduces the draw sequence.
-  SizingEnv env2(prob, EnvConfig{});
-  env2.set_target_sampler(sampler, /*seed=*/42);
-  env2.reset();
-  EXPECT_EQ(env2.target(), t1);
-  env2.reset();
-  EXPECT_EQ(env2.target(), t2);
-}
-
-TEST(SizingEnv, ReportsEpisodeOutcomesToSampler) {
-  auto prob = synth();
-  EnvConfig config;
-  config.horizon = 3;
-  SizingEnv env(prob, config);
-  auto curriculum = std::make_shared<spec::CurriculumSampler>(
-      spec::SpecSpace(*prob));
-  env.set_target_sampler(curriculum, 7);
-  env.reset();
-  long episodes = 0;
-  for (int i = 0; i < 12; ++i) {
-    if (env.step({1, 1, 1}).done) {
-      ++episodes;
-      env.reset();
-    }
-  }
-  EXPECT_EQ(curriculum->outcomes_recorded(), episodes);
-}
-
 TEST(SizingEnv, SimulationCounting) {
   SizingEnv env(synth(), EnvConfig{});
   env.reset();

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,27 @@ TEST(NetlistProblem, RejectsDecksWithoutSizing) {
       "v1 a 0 dc 1\nr1 a 0 1k\n", "bare");
   ASSERT_FALSE(no_params.ok());
   EXPECT_NE(no_params.error().message.find(".param"), std::string::npos);
+}
+
+TEST(NetlistProblem, RejectsDesignVariableInAnalysisLine) {
+  // The shipped RC buffer with its AC stop frequency tied to a design
+  // variable: one batch would run every lane with a single lane's sweep, so
+  // the deck is refused up front (AC208) instead of evaluating lanes with
+  // another lane's analysis settings.
+  std::ifstream in(decks_dir() + "/rc_buffer.cir");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string deck = text.str();
+  const std::string ac = ".ac mid 100k 100g";
+  ASSERT_NE(deck.find(ac), std::string::npos);
+  deck.replace(deck.find(ac), ac.size(), ".ac mid 100k {fhi}g");
+  deck.insert(deck.find("vsup "), ".param fhi 1 100 3\n");
+
+  auto prob = make_netlist_problem_from_text(deck, "ac_param");
+  ASSERT_FALSE(prob.ok());
+  EXPECT_NE(prob.error().message.find("AC208"), std::string::npos)
+      << prob.error().message;
 }
 
 TEST(NetlistProblem, FromFileNamesProblemAfterStem) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "baselines/ga_ml.hpp"
+#include "rl/deploy.hpp"
 #include "rl/ppo.hpp"
 #include "test_helpers.hpp"
 
@@ -26,6 +27,14 @@ rl::PpoConfig small_config() {
   config.num_workers = 2;
   config.seed = 3;
   return config;
+}
+
+/// The paper's protocol: each episode's target drawn uniformly from a fixed
+/// list.
+rl::TrainOptions suite_options(const std::vector<SpecVector>& targets) {
+  rl::TrainOptions options;
+  options.sampler = std::make_shared<spec::SuiteSampler>(targets);
+  return options;
 }
 
 }  // namespace
@@ -68,7 +77,7 @@ TEST(PpoAgent, TrainRejectsEmptyTargets) {
   rl::PpoAgent agent(9, 3, config);
   auto prob = synth();
   EXPECT_THROW(agent.train([prob] { return env::SizingEnv(prob, {}); },
-                           std::vector<SpecVector>{}),
+                           suite_options({})),
                std::invalid_argument);
 }
 
@@ -85,7 +94,7 @@ TEST(PpoAgent, LearnsSyntheticSizingProblem) {
   const auto targets = env::sample_targets(*prob, 20, rng);
   const auto history = agent.train(
       [prob, env_config] { return env::SizingEnv(prob, env_config); },
-      targets);
+      suite_options(targets));
 
   ASSERT_FALSE(history.iterations.empty());
   const auto& first = history.iterations.front();
@@ -110,7 +119,7 @@ TEST(PpoAgent, TrainingIsSeedReproducible) {
     const auto targets = env::sample_targets(*prob, 10, rng);
     const auto history = agent.train(
         [prob, env_config] { return env::SizingEnv(prob, env_config); },
-        targets);
+        suite_options(targets));
     return history.iterations.back().mean_episode_reward;
   };
   EXPECT_DOUBLE_EQ(run(5), run(5));
@@ -133,7 +142,7 @@ TEST(PpoAgent, EarlyStopOnGoalRate) {
   const auto targets = env::sample_targets(*prob, 10, rng);
   const auto history = agent.train(
       [prob, env_config] { return env::SizingEnv(prob, env_config); },
-      targets);
+      suite_options(targets));
   EXPECT_TRUE(history.converged);
   EXPECT_LT(static_cast<int>(history.iterations.size()),
             config.max_iterations);
@@ -150,7 +159,7 @@ TEST(PpoAgent, OnIterationCallbackFires) {
   const auto targets = env::sample_targets(*prob, 5, rng);
   int calls = 0;
   agent.train([prob, env_config] { return env::SizingEnv(prob, env_config); },
-              targets,
+              suite_options(targets),
               [&](const rl::IterationStats& s) {
                 EXPECT_EQ(s.iteration, calls);
                 ++calls;
@@ -231,7 +240,8 @@ TEST(PpoAgent, TrainRejectsInvalidRolloutShape) {
   util::Rng rng(23);
   const auto targets = env::sample_targets(*prob, 4, rng);
   EXPECT_THROW(
-      agent.train([prob] { return env::SizingEnv(prob, {}); }, targets),
+      agent.train([prob] { return env::SizingEnv(prob, {}); },
+                  suite_options(targets)),
       std::invalid_argument);
 }
 
@@ -256,7 +266,7 @@ TEST(PpoAgent, TrajectoriesInvariantUnderWorkerLaneSplit) {
     const auto targets = env::sample_targets(*prob, 10, rng);
     return agent.train(
         [prob, env_config] { return env::SizingEnv(prob, env_config); },
-        targets);
+        suite_options(targets));
   };
 
   const auto h14 = run(1, 4);
@@ -279,40 +289,6 @@ TEST(PpoAgent, TrajectoriesInvariantUnderWorkerLaneSplit) {
 }
 
 // ---- spec-scenario training (TrainOptions: sampler + holdout suite) --------
-
-TEST(PpoAgent, SamplerApiMatchesLegacyTargetListBitwise) {
-  // train(factory, targets) and train(factory, {SuiteSampler(targets)})
-  // must collect identical trajectories: the suite sampler consumes the
-  // lane RNG exactly like the historical inline pick.
-  auto prob = synth();
-  env::EnvConfig env_config;
-  env_config.horizon = 10;
-  util::Rng rng(7);
-  const auto targets = env::sample_targets(*prob, 10, rng);
-
-  auto run = [&](bool use_options) {
-    env::SizingEnv probe(prob, env_config);
-    rl::PpoConfig config = small_config();
-    config.max_iterations = 3;
-    rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
-    auto factory = [prob, env_config] {
-      return env::SizingEnv(prob, env_config);
-    };
-    if (!use_options) return agent.train(factory, targets);
-    rl::TrainOptions options;
-    options.sampler = std::make_shared<spec::SuiteSampler>(targets);
-    return agent.train(factory, options);
-  };
-  const auto legacy = run(false);
-  const auto sampled = run(true);
-  ASSERT_EQ(legacy.iterations.size(), sampled.iterations.size());
-  for (std::size_t i = 0; i < legacy.iterations.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy.iterations[i].mean_episode_reward,
-                     sampled.iterations[i].mean_episode_reward);
-    EXPECT_DOUBLE_EQ(legacy.iterations[i].policy_loss,
-                     sampled.iterations[i].policy_loss);
-  }
-}
 
 TEST(PpoAgent, HoldoutProbeRunsAtIntervalAndOnFinalIteration) {
   auto prob = synth();
@@ -461,22 +437,38 @@ TEST(PpoAgent, RejectsMissingSampler) {
       std::invalid_argument);
 }
 
-TEST(PpoAgent, EvaluateGoalRateIsLaneCountInvariant) {
+TEST(DeployTargets, RecordsAreLaneCountInvariant) {
+  // Greedy with no retries (the holdout probe's setting) and sampled retries
+  // (per-target streams) must both give the same records at any lane count.
   auto prob = synth();
   env::EnvConfig env_config;
   env_config.horizon = 10;
+  env_config.warm_start = false;
   env::SizingEnv probe(prob, env_config);
   rl::PpoAgent agent(probe.obs_size(), probe.num_params(), small_config());
   util::Rng rng(3);
   const auto targets = env::sample_targets(*prob, 11, rng);
-  auto factory = [prob, env_config] {
-    return env::SizingEnv(prob, env_config);
-  };
-  const double r1 = agent.evaluate_goal_rate(factory, targets, 1);
-  const double r4 = agent.evaluate_goal_rate(factory, targets, 4);
-  const double r16 = agent.evaluate_goal_rate(factory, targets, 16);
-  EXPECT_DOUBLE_EQ(r1, r4);
-  EXPECT_DOUBLE_EQ(r1, r16);
+  for (const int retries : {0, 1}) {
+    auto deploy = [&](int lanes) {
+      return rl::deploy_targets(agent, prob, targets, env_config,
+                                /*stochastic=*/false, /*seed=*/99, retries,
+                                lanes);
+    };
+    const auto r1 = deploy(1);
+    ASSERT_EQ(r1.size(), targets.size());
+    for (const int lanes : {4, 16}) {
+      const auto rn = deploy(lanes);
+      ASSERT_EQ(rn.size(), r1.size());
+      for (std::size_t t = 0; t < r1.size(); ++t) {
+        EXPECT_EQ(rn[t].target, r1[t].target);
+        EXPECT_EQ(rn[t].reached, r1[t].reached)
+            << "retries=" << retries << " lanes=" << lanes << " t=" << t;
+        EXPECT_EQ(rn[t].steps, r1[t].steps);
+        EXPECT_EQ(rn[t].final_params, r1[t].final_params);
+        EXPECT_EQ(rn[t].final_specs, r1[t].final_specs);
+      }
+    }
+  }
 }
 
 TEST(PpoAgent, SingleWorkerMatchesConfig) {
@@ -493,7 +485,7 @@ TEST(PpoAgent, SingleWorkerMatchesConfig) {
   const auto targets = env::sample_targets(*prob, 5, rng);
   const auto history = agent.train(
       [prob, env_config] { return env::SizingEnv(prob, env_config); },
-      targets);
+      suite_options(targets));
   EXPECT_EQ(history.iterations.size(), 2u);
   EXPECT_GE(history.iterations[0].cumulative_env_steps,
             config.steps_per_iteration);
@@ -503,7 +495,9 @@ TEST(PpoAgent, SingleWorkerMatchesConfig) {
 // Fixed-seed results written out as %.17g literals. They were produced by
 // the per-sample update loop that the batched minibatch kernels replaced,
 // so they pin the kernels' accumulation-order contract end to end: any
-// reordering of a sum shows up here as a changed bit.
+// reordering of a sum shows up here as a changed bit. The holdout rates
+// were produced by the dedicated probe rollout that the deploy loop
+// replaced.
 
 TEST(GoldenPin, SyntheticPpoIterationStats) {
   auto prob = synth();
@@ -520,19 +514,29 @@ TEST(GoldenPin, SyntheticPpoIterationStats) {
   rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
   util::Rng rng(31);
   const auto targets = env::sample_targets(*prob, 8, rng);
+  rl::TrainOptions options = suite_options(targets);
+  // A holdout ramp from easy to out of reach within the horizon, probed on
+  // both iterations (the first by interval, the second as the last).
+  std::vector<SpecVector> holdout;
+  for (int k = 0; k < 11; ++k) {
+    holdout.push_back({10.0 + 0.3 * k, 4.6 + 0.05 * k, 1.3});
+  }
+  options.holdout =
+      spec::SpecSuite("pin", spec::SpecSpace(*prob).names(), holdout);
   const auto history = agent.train(
       [prob, env_config] { return env::SizingEnv(prob, env_config); },
-      targets);
+      options);
 
   struct Pin {
     long env_steps;
     double goal_rate, mean_episode_reward, policy_loss, value_loss, entropy;
+    double holdout_goal_rate;
   };
   const Pin pins[] = {
       {313, 0.28947368421052633, 2.5816126433416251, -0.0010560425024020059,
-       5.2037953998696631, 1.0986080373342144},
+       5.2037953998696631, 1.0986080373342144, 0.63636363636363635},
       {627, 0.34210526315789475, 3.0910774625465405, -0.0017143676928280686,
-       6.3968063736777241, 1.0985703596503669},
+       6.3968063736777241, 1.0985703596503669, 0.63636363636363635},
   };
   ASSERT_EQ(history.iterations.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -544,6 +548,9 @@ TEST(GoldenPin, SyntheticPpoIterationStats) {
     EXPECT_EQ(s.policy_loss, pins[i].policy_loss) << "iteration " << i;
     EXPECT_EQ(s.value_loss, pins[i].value_loss) << "iteration " << i;
     EXPECT_EQ(s.entropy, pins[i].entropy) << "iteration " << i;
+    EXPECT_TRUE(s.holdout_evaluated) << "iteration " << i;
+    EXPECT_EQ(s.holdout_goal_rate, pins[i].holdout_goal_rate)
+        << "iteration " << i;
   }
 }
 

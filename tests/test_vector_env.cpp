@@ -125,9 +125,8 @@ TEST(VectorSizingEnv, AutoResetMatchesSerialEnvWithSamplerLoop) {
   const int lanes = 4;
   VectorSizingEnv venv(prob, config, lanes);
   venv.seed_lanes(99);
-  venv.set_target_sampler([&pool](int /*lane*/, util::Rng& rng) {
-    return pool[rng.bounded(pool.size())];
-  });
+  // SuiteSampler draws pool[rng.bounded(pool.size())] from the lane stream.
+  venv.set_target_sampler(std::make_shared<spec::SuiteSampler>(pool));
   auto obs = venv.reset_all();
 
   // Serial reference: per lane, an identically seeded RNG drives the same
