@@ -144,11 +144,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, ".tran failed: %s\n", tran.error().message.c_str());
       continue;
     }
-    const double ts = settling_time(tran->time, tran->waveforms[0]);
-    std::printf(".tran %s: %zu points, v(start)=%.4f v(end)=%.4f "
-                "settling=%.4g s\n",
+    const SettlingResult ts =
+        measure_settling(tran->time, tran->waveforms[0]);
+    std::printf(".tran %s: %zu points, v(start)=%.4f v(end)=%.4f ",
                 req.probe.c_str(), tran->time.size(),
-                tran->waveforms[0].front(), tran->waveforms[0].back(), ts);
+                tran->waveforms[0].front(), tran->waveforms[0].back());
+    // A window that ends while the waveform still moves has no settling
+    // time: measure_settling's time is then only where the run stopped.
+    if (ts.settled) {
+      std::printf("settling=%.4g s\n", ts.time);
+    } else {
+      std::printf("settling=unsettled\n");
+    }
   }
 
   for (const auto& req : deck.noise) {

@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
 
   // The paper's generalization sweep: a suite of unseen targets, rolled out
   // through a VectorSizingEnv — every tick is one batched policy forward
-  // plus one evaluate_batch() fanned out by the backend stack. The same
-  // named suite can be saved to CSV and replayed against any baseline.
+  // plus one evaluate_batch() fanned out by the backend stack. Any baseline
+  // regenerates the identical suite from the same suite seed.
   const spec::SpecSuite deploy_suite =
       core::make_deploy_suite(*problem, 100, /*suite_seed=*/0xdeb101);
   const auto stats = core::deploy_agent(outcome.agent, problem, deploy_suite,

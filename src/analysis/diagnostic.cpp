@@ -1,7 +1,6 @@
 #include "analysis/diagnostic.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 namespace autockt::analysis {
@@ -16,19 +15,6 @@ const char* severity_name(Severity severity) {
       return "error";
   }
   return "unknown";
-}
-
-bool severity_from_name(const std::string& name, Severity* out) {
-  if (name == "note") {
-    *out = Severity::Note;
-  } else if (name == "warning") {
-    *out = Severity::Warning;
-  } else if (name == "error") {
-    *out = Severity::Error;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 const std::vector<DiagnosticDef>& diagnostic_catalog() {
@@ -160,94 +146,6 @@ void append_json_string(std::ostringstream& out, const std::string& s) {
   out << '"';
 }
 
-/// Minimal cursor over the JSON dialect render_diagnostics_json emits.
-struct JsonCursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  util::Expected<std::string> string() {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != '"') {
-      return util::Error{"diagnostics json: expected string at offset " +
-                         std::to_string(pos)};
-    }
-    ++pos;
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          case 'r':
-            c = '\r';
-            break;
-          case 'u': {
-            if (pos + 4 > text.size()) {
-              return util::Error{"diagnostics json: truncated \\u escape"};
-            }
-            c = static_cast<char>(
-                std::stoi(text.substr(pos, 4), nullptr, 16));
-            pos += 4;
-            break;
-          }
-          default:
-            c = esc;  // \" \\ \/ and friends
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos >= text.size()) {
-      return util::Error{"diagnostics json: unterminated string"};
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  util::Expected<std::size_t> integer() {
-    skip_ws();
-    std::size_t v = 0;
-    bool any = false;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      v = v * 10 + static_cast<std::size_t>(text[pos] - '0');
-      ++pos;
-      any = true;
-    }
-    if (!any) {
-      return util::Error{"diagnostics json: expected integer at offset " +
-                         std::to_string(pos)};
-    }
-    return v;
-  }
-};
-
 }  // namespace
 
 std::string render_diagnostics_json(const std::vector<Diagnostic>& diagnostics,
@@ -275,89 +173,6 @@ std::string render_diagnostics_json(const std::vector<Diagnostic>& diagnostics,
   }
   out << (diagnostics.empty() ? "]" : "\n  ]") << "\n}\n";
   return out.str();
-}
-
-util::Expected<std::vector<Diagnostic>> parse_diagnostics_json(
-    const std::string& json, std::string* source_out) {
-  JsonCursor cur{json};
-  if (!cur.eat('{')) return util::Error{"diagnostics json: expected '{'"};
-
-  std::vector<Diagnostic> out;
-  bool first_key = true;
-  while (!cur.peek('}')) {
-    if (!first_key && !cur.eat(',')) {
-      return util::Error{"diagnostics json: expected ',' between keys"};
-    }
-    first_key = false;
-    auto key = cur.string();
-    if (!key.ok()) return key.error();
-    if (!cur.eat(':')) return util::Error{"diagnostics json: expected ':'"};
-
-    if (*key == "source") {
-      auto v = cur.string();
-      if (!v.ok()) return v.error();
-      if (source_out != nullptr) *source_out = *v;
-    } else if (*key == "error_count" || *key == "warning_count") {
-      auto v = cur.integer();
-      if (!v.ok()) return v.error();
-    } else if (*key == "diagnostics") {
-      if (!cur.eat('[')) {
-        return util::Error{"diagnostics json: expected '['"};
-      }
-      while (!cur.peek(']')) {
-        if (!out.empty() && !cur.eat(',')) {
-          return util::Error{"diagnostics json: expected ',' in array"};
-        }
-        if (!cur.eat('{')) {
-          return util::Error{"diagnostics json: expected diagnostic object"};
-        }
-        Diagnostic d;
-        bool first_field = true;
-        while (!cur.peek('}')) {
-          if (!first_field && !cur.eat(',')) {
-            return util::Error{"diagnostics json: expected ',' in object"};
-          }
-          first_field = false;
-          auto field = cur.string();
-          if (!field.ok()) return field.error();
-          if (!cur.eat(':')) {
-            return util::Error{"diagnostics json: expected ':' in object"};
-          }
-          if (*field == "id" || *field == "severity" ||
-              *field == "message" || *field == "note") {
-            auto v = cur.string();
-            if (!v.ok()) return v.error();
-            if (*field == "id") {
-              d.id = *v;
-            } else if (*field == "severity") {
-              if (!severity_from_name(*v, &d.severity)) {
-                return util::Error{"diagnostics json: unknown severity '" +
-                                   *v + "'"};
-              }
-            } else if (*field == "message") {
-              d.message = *v;
-            } else {
-              d.note = *v;
-            }
-          } else if (*field == "line" || *field == "col") {
-            auto v = cur.integer();
-            if (!v.ok()) return v.error();
-            (*field == "line" ? d.line : d.col) = *v;
-          } else {
-            return util::Error{"diagnostics json: unknown field '" + *field +
-                               "'"};
-          }
-        }
-        cur.eat('}');
-        out.push_back(std::move(d));
-      }
-      cur.eat(']');
-    } else {
-      return util::Error{"diagnostics json: unknown key '" + *key + "'"};
-    }
-  }
-  if (!cur.eat('}')) return util::Error{"diagnostics json: expected '}'"};
-  return out;
 }
 
 }  // namespace autockt::analysis

@@ -6,9 +6,9 @@
 // public contract — CI asserts on them, decks suppress them with
 // `* lint-disable <id>` comments, and the bad-deck regression corpus under
 // tests/decks/bad/ names the id it expects. Renderers produce the
-// human-readable text form and a line-oriented JSON form that round-trips
-// through parse_diagnostics_json (used by the netlist_lint CLI artifact
-// upload and its tests).
+// human-readable text form and a line-oriented JSON form (netlist_lint
+// --json, which CI uploads as an artifact and reads back with a standard
+// JSON parser).
 //
 // Severity semantics:
 //  * Error   — the deck/circuit would produce garbage (or crash) downstream;
@@ -21,16 +21,12 @@
 #include <string>
 #include <vector>
 
-#include "util/expected.hpp"
-
 namespace autockt::analysis {
 
 enum class Severity { Note, Warning, Error };
 
 /// Stable name ("note", "warning", "error").
 const char* severity_name(Severity severity);
-/// Inverse of severity_name; false on unknown names.
-bool severity_from_name(const std::string& name, Severity* out);
 
 /// One analyzer finding. `line`/`col` are 1-based positions in the deck
 /// text; 0 means "whole deck" (circuit-level findings on decks keep the
@@ -83,15 +79,11 @@ std::vector<Diagnostic> apply_suppressions(
 std::string render_diagnostics_text(const std::vector<Diagnostic>& diagnostics,
                                     const std::string& source_name);
 
-/// JSON rendering: {"source": "...", "diagnostics": [{...}, ...]} with
-/// stable key order; round-trips through parse_diagnostics_json.
+/// JSON rendering: {"source": "...", "error_count": N, "warning_count": N,
+/// "diagnostics": [{...}, ...]} with stable key order. Strings escape '"',
+/// '\\', and every byte below 0x20, so any standard JSON parser reads it
+/// back.
 std::string render_diagnostics_json(const std::vector<Diagnostic>& diagnostics,
                                     const std::string& source_name);
-
-/// Parse the JSON form emitted by render_diagnostics_json (only that
-/// dialect: flat string/integer fields, no nesting beyond the schema).
-/// `source_out` (optional) receives the "source" field.
-util::Expected<std::vector<Diagnostic>> parse_diagnostics_json(
-    const std::string& json, std::string* source_out = nullptr);
 
 }  // namespace autockt::analysis

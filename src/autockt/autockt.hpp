@@ -50,8 +50,8 @@ struct TrainOutcome {
   rl::PpoAgent agent;
   rl::TrainHistory history;
   std::vector<circuits::SpecVector> train_targets;
-  /// The training targets as a named, serializable suite (empty target
-  /// list under curriculum sampling — targets are drawn fresh per episode).
+  /// The training targets as a named suite (empty target list under
+  /// curriculum sampling — targets are drawn fresh per episode).
   spec::SpecSuite train_suite;
   /// The frozen holdout suite the agent never saw (empty when disabled).
   spec::SpecSuite holdout_suite;

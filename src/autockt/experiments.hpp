@@ -14,7 +14,9 @@
 namespace autockt::core {
 
 /// Aggregate GA performance over a set of targets, using the paper's
-/// protocol of sweeping population sizes per target and keeping the best.
+/// protocol: each population size in `population_sizes` is scored over the
+/// whole target set, and the best-scoring size is kept (tuned once,
+/// globally, not per target).
 struct GaAggregate {
   int targets = 0;
   int reached = 0;

@@ -112,27 +112,4 @@ GaResult run_ga(const SizingProblem& problem, const SpecVector& target,
   return result;
 }
 
-GaResult run_ga_best_of_sweep(const SizingProblem& problem,
-                              const SpecVector& target, const GaConfig& base,
-                              const std::vector<int>& population_sizes) {
-  GaResult best;
-  bool first = true;
-  for (std::size_t i = 0; i < population_sizes.size(); ++i) {
-    GaConfig config = base;
-    config.population = population_sizes[i];
-    config.seed = base.seed + 1000 * (i + 1);
-    GaResult r = run_ga(problem, target, config);
-    const bool better =
-        (r.reached && !best.reached) ||
-        (r.reached == best.reached &&
-         (r.reached ? r.evals_to_reach < best.evals_to_reach
-                    : r.best_reward > best.best_reward));
-    if (first || better) {
-      best = std::move(r);
-      first = false;
-    }
-  }
-  return best;
-}
-
 }  // namespace autockt::baselines

@@ -46,11 +46,4 @@ struct GaResult {
 GaResult run_ga(const circuits::SizingProblem& problem,
                 const circuits::SpecVector& target, const GaConfig& config);
 
-/// The paper tuned the GA by sweeping initial population sizes and keeping
-/// the best result; this helper reproduces that protocol.
-GaResult run_ga_best_of_sweep(const circuits::SizingProblem& problem,
-                              const circuits::SpecVector& target,
-                              const GaConfig& base,
-                              const std::vector<int>& population_sizes);
-
 }  // namespace autockt::baselines

@@ -12,31 +12,11 @@
 #include "eval/function_backend.hpp"
 #include "eval/process_pool_backend.hpp"
 #include "eval/threaded_backend.hpp"
-#include "spice/workspace.hpp"
 #include "util/fmt.hpp"
 
 namespace autockt::circuits {
 
 namespace {
-
-/// The spice layer's process-wide kernel counters projected into EvalStats.
-/// ProcessPoolBackend workers attach this as Options::leaf_stats so their
-/// reply deltas carry the kernel work done in the child — which the
-/// parent's own spice::kernel_stats_snapshot() can never see.
-eval::EvalStats kernel_leaf_stats() {
-  eval::EvalStats s;
-  const spice::KernelStats k = spice::kernel_stats_snapshot();
-  s.newton_iterations = k.newton_iterations;
-  s.symbolic_factorizations = k.symbolic_factorizations;
-  s.numeric_factorizations = k.numeric_factorizations;
-  s.dense_fallbacks = k.dense_fallbacks;
-  s.warm_start_attempts = k.warm_start_attempts;
-  s.warm_start_hits = k.warm_start_hits;
-  s.batch_refactorizations = k.batch_refactorizations;
-  s.batch_lanes = k.batch_lanes;
-  s.batch_lane_fallbacks = k.batch_lane_fallbacks;
-  return s;
-}
 
 /// PEX parasitic severity used for the transfer experiment. Chosen so that
 /// schematic-vs-PEX spec differences land in the 5-25% band the paper's
@@ -79,7 +59,7 @@ std::shared_ptr<eval::EvalBackend> wrap_process_pool(
   eval::ProcessPoolBackend::Options popts;
   popts.workers = options.eval_workers;
   popts.inner_name = name;
-  popts.leaf_stats = kernel_leaf_stats;
+  popts.leaf_stats = kernel_eval_stats;
   return std::make_shared<eval::ProcessPoolBackend>(std::move(factory),
                                                     popts);
 }

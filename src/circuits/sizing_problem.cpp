@@ -79,6 +79,21 @@ void SizingProblem::set_evaluator(eval::EvalFn fn, std::string backend_name) {
                                                     std::move(backend_name));
 }
 
+eval::EvalStats kernel_eval_stats() {
+  eval::EvalStats s;
+  const spice::KernelStats k = spice::kernel_stats_snapshot();
+  s.newton_iterations = k.newton_iterations;
+  s.symbolic_factorizations = k.symbolic_factorizations;
+  s.numeric_factorizations = k.numeric_factorizations;
+  s.dense_fallbacks = k.dense_fallbacks;
+  s.warm_start_attempts = k.warm_start_attempts;
+  s.warm_start_hits = k.warm_start_hits;
+  s.batch_refactorizations = k.batch_refactorizations;
+  s.batch_lanes = k.batch_lanes;
+  s.batch_lane_fallbacks = k.batch_lane_fallbacks;
+  return s;
+}
+
 eval::EvalStats SizingProblem::eval_stats() const {
   eval::EvalStats stats = backend ? backend->stats() : eval::EvalStats{};
   // Merge the simulation-kernel counters. These are process-wide (the
@@ -87,17 +102,8 @@ eval::EvalStats SizingProblem::eval_stats() const {
   // reset_eval_stats() or difference with since() per experiment. Added
   // (not assigned) because a ProcessPoolBackend stack already carries the
   // kernel counters of its worker processes in backend->stats() — in that
-  // configuration the parent-local counters below stay zero.
-  const spice::KernelStats kernel = spice::kernel_stats_snapshot();
-  stats.newton_iterations += kernel.newton_iterations;
-  stats.symbolic_factorizations += kernel.symbolic_factorizations;
-  stats.numeric_factorizations += kernel.numeric_factorizations;
-  stats.dense_fallbacks += kernel.dense_fallbacks;
-  stats.warm_start_attempts += kernel.warm_start_attempts;
-  stats.warm_start_hits += kernel.warm_start_hits;
-  stats.batch_refactorizations += kernel.batch_refactorizations;
-  stats.batch_lanes += kernel.batch_lanes;
-  stats.batch_lane_fallbacks += kernel.batch_lane_fallbacks;
+  // configuration the parent-local counters stay zero.
+  stats += kernel_eval_stats();
   return stats;
 }
 

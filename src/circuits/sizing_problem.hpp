@@ -160,6 +160,14 @@ struct SizingProblem {
   static constexpr double kGoalTol = 0.01;
 };
 
+/// The spice layer's process-wide kernel counters (spice::KernelStats)
+/// projected into EvalStats; every other field is 0. The one place that
+/// maps kernel counters to EvalStats fields: SizingProblem::eval_stats()
+/// adds it, and ProcessPoolBackend workers attach it as
+/// Options::leaf_stats so their reply deltas carry the kernel work done in
+/// the child, which the parent's own snapshot can never see.
+eval::EvalStats kernel_eval_stats();
+
 /// Fold per-corner spec vectors into the worst case per spec (PEX/PVT flow):
 /// GreaterEq keeps the minimum, LessEq/Minimize the maximum.
 SpecVector worst_case_fold(const std::vector<SpecDef>& specs,

@@ -1,30 +1,11 @@
 #include "spec/spec_suite.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "util/fmt.hpp"
 #include "util/rng.hpp"
 
 namespace autockt::spec {
-
-namespace {
-
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cell;
-  std::stringstream ss(line);
-  while (std::getline(ss, cell, ',')) cells.push_back(cell);
-  if (!line.empty() && line.back() == ',') cells.emplace_back();
-  return cells;
-}
-
-}  // namespace
 
 SpecSuite::SpecSuite(std::string name, std::vector<std::string> spec_names,
                      std::vector<circuits::SpecVector> targets)
@@ -49,37 +30,6 @@ SpecSuite SpecSuite::generate(const SpecSpace& space, TargetSampler& sampler,
   return SpecSuite(std::move(name), space.names(), std::move(targets));
 }
 
-SuiteSplit SpecSuite::split(double holdout_fraction,
-                                  std::uint64_t split_seed) const {
-  if (holdout_fraction < 0.0 || holdout_fraction > 1.0) {
-    throw std::invalid_argument("SpecSuite::split: fraction out of [0, 1]");
-  }
-  const std::size_t n = targets_.size();
-  const std::size_t holdout_count = static_cast<std::size_t>(
-      std::lround(holdout_fraction * static_cast<double>(n)));
-
-  // Shuffle indices with the split seed, mark the first holdout_count as
-  // held out, then emit both halves in original order (stable split).
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  util::Rng rng(split_seed);
-  for (std::size_t i = n; i-- > 1;) {
-    std::swap(order[i], order[rng.bounded(i + 1)]);
-  }
-  std::vector<char> held(n, 0);
-  for (std::size_t k = 0; k < holdout_count; ++k) held[order[k]] = 1;
-
-  std::vector<circuits::SpecVector> train, holdout;
-  train.reserve(n - holdout_count);
-  holdout.reserve(holdout_count);
-  for (std::size_t i = 0; i < n; ++i) {
-    (held[i] ? holdout : train).push_back(targets_[i]);
-  }
-  return SuiteSplit{SpecSuite(name_ + "/train", spec_names_, std::move(train)),
-               SpecSuite(name_ + "/holdout", spec_names_,
-                         std::move(holdout))};
-}
-
 SpecSuite SpecSuite::head(std::size_t n) const {
   if (n >= targets_.size()) return *this;
   return SpecSuite(
@@ -87,110 +37,6 @@ SpecSuite SpecSuite::head(std::size_t n) const {
       std::vector<circuits::SpecVector>(targets_.begin(),
                                         targets_.begin() +
                                             static_cast<std::ptrdiff_t>(n)));
-}
-
-std::string SpecSuite::to_csv() const {
-  std::string out = "# spec_suite,name=" + name_ + "\n";
-  for (std::size_t i = 0; i < spec_names_.size(); ++i) {
-    if (i > 0) out += ',';
-    out += spec_names_[i];
-  }
-  out += '\n';
-  for (const auto& t : targets_) {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (i > 0) out += ',';
-      out += util::format_g17(t[i]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-util::Expected<SpecSuite> SpecSuite::from_csv(const std::string& csv) {
-  std::stringstream ss(csv);
-  std::string line;
-  std::string name = "unnamed";
-  std::vector<std::string> spec_names;
-  std::vector<circuits::SpecVector> targets;
-  bool have_header = false;
-
-  while (std::getline(ss, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      const std::string key = "name=";
-      const auto pos = line.find(key);
-      if (pos != std::string::npos) name = line.substr(pos + key.size());
-      continue;
-    }
-    if (!have_header) {
-      spec_names = split_csv_line(line);
-      if (spec_names.empty()) {
-        return util::Error{"SpecSuite: empty header row"};
-      }
-      have_header = true;
-      continue;
-    }
-    const auto cells = split_csv_line(line);
-    if (cells.size() != spec_names.size()) {
-      return util::Error{"SpecSuite '" + name + "': row with " +
-                         std::to_string(cells.size()) + " cells, expected " +
-                         std::to_string(spec_names.size())};
-    }
-    circuits::SpecVector t;
-    t.reserve(cells.size());
-    for (const std::string& cell : cells) {
-      char* end = nullptr;
-      const double v = std::strtod(cell.c_str(), &end);
-      if (end == cell.c_str() || *end != '\0') {
-        return util::Error{"SpecSuite '" + name + "': bad number '" + cell +
-                           "'"};
-      }
-      t.push_back(v);
-    }
-    targets.push_back(std::move(t));
-  }
-  if (!have_header) {
-    return util::Error{"SpecSuite: no header row"};
-  }
-  return SpecSuite(std::move(name), std::move(spec_names),
-                   std::move(targets));
-}
-
-bool SpecSuite::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_csv();
-  return static_cast<bool>(out);
-}
-
-util::Expected<SpecSuite> SpecSuite::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return util::Error{"SpecSuite: cannot open '" + path + "'"};
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return from_csv(ss.str());
-}
-
-SuiteSplit make_train_holdout_suites(const SpecSpace& space,
-                                           std::size_t train_count,
-                                           std::size_t holdout_count,
-                                           std::uint64_t suite_seed,
-                                           const std::string& name_prefix) {
-  const std::size_t total = train_count + holdout_count;
-  if (total == 0) {
-    throw std::invalid_argument("make_train_holdout_suites: empty suite");
-  }
-  // One stratification cycle spans the whole suite, so together the train
-  // and holdout targets visit every stratum of every axis exactly once.
-  StratifiedSampler sampler(space, static_cast<int>(total));
-  SpecSuite all = SpecSuite::generate(space, sampler, total, suite_seed,
-                                      name_prefix);
-  const double fraction =
-      static_cast<double>(holdout_count) / static_cast<double>(total);
-  // Derive the split stream from the suite seed so the whole protocol hangs
-  // off one number.
-  return all.split(fraction, util::stream_seed(suite_seed, 1));
 }
 
 }  // namespace autockt::spec

@@ -1,23 +1,18 @@
 #pragma once
-// SpecSuite: a named, serializable set of target specifications.
+// SpecSuite: a named set of target specifications.
 //
 // The paper's experiments all revolve around fixed target sets ("50
 // randomly sampled target specifications" for training, "1000 unseen
 // targets" for generalization). A SpecSuite makes such a set a value: it
-// can be generated from a SpecSpace through any TargetSampler, split
-// deterministically into train/holdout halves, written to / read from CSV
-// (so RL, GA and GA+ML runs — possibly in different processes — score
-// against byte-identical targets), and handed to the trainer, deploy_agent
-// and the baseline harnesses.
+// is generated from a SpecSpace through any TargetSampler and handed to
+// the trainer, deploy_agent and the baseline harnesses.
 //
-// Determinism contract: generation and splitting consume only the suite
-// seed, never the training seed, so the holdout set an agent is scored on
-// is invariant under everything about how the agent was trained.
-//
-// CSV format (docs/DESIGN.md section 8):
-//   # spec_suite,name=<suite name>
-//   <spec name>,<spec name>,...
-//   <value>,<value>,...            (one row per target, %.17g round-trip)
+// Determinism contract: generation consumes only the suite seed, never the
+// training seed, so the holdout set an agent is scored on is invariant
+// under everything about how the agent was trained. Seeded regeneration is
+// also the cross-process contract: RL, GA and GA+ML runs in different
+// binaries score against identical targets by regenerating the suite from
+// the same (sampler, count, suite seed) (see core::make_deploy_suite).
 
 #include <cstdint>
 #include <string>
@@ -26,14 +21,8 @@
 #include "circuits/sizing_problem.hpp"
 #include "spec/spec_space.hpp"
 #include "spec/target_sampler.hpp"
-#include "util/expected.hpp"
 
 namespace autockt::spec {
-
-class SpecSuite;
-
-/// A disjoint train/holdout pair cut from one generated suite.
-struct SuiteSplit;
 
 class SpecSuite {
  public:
@@ -59,22 +48,10 @@ class SpecSuite {
     return targets_[i];
   }
 
-  /// Deterministic disjoint split: a Fisher-Yates shuffle seeded by
-  /// `split_seed` picks round(holdout_fraction * size) holdout targets; both
-  /// halves keep their original relative order. Depends only on
-  /// (split_seed, holdout_fraction, size) — never on a training seed.
-  SuiteSplit split(double holdout_fraction, std::uint64_t split_seed) const;
-
   /// The first min(n, size()) targets as a sub-suite — lets an expensive
   /// baseline (GA at thousands of sims per target) score on a prefix of
   /// the exact suite a cheap method covered in full.
   SpecSuite head(std::size_t n) const;
-
-  // ---- CSV -----------------------------------------------------------------
-  std::string to_csv() const;
-  static util::Expected<SpecSuite> from_csv(const std::string& csv);
-  bool save(const std::string& path) const;
-  static util::Expected<SpecSuite> load(const std::string& path);
 
   bool operator==(const SpecSuite& other) const {
     return name_ == other.name_ && spec_names_ == other.spec_names_ &&
@@ -86,20 +63,5 @@ class SpecSuite {
   std::vector<std::string> spec_names_;
   std::vector<circuits::SpecVector> targets_;
 };
-
-struct SuiteSplit {
-  SpecSuite train;
-  SpecSuite holdout;
-};
-
-/// One-call train/holdout protocol: generate (train_count + holdout_count)
-/// targets by Latin-hypercube stratification over `space` (strata = total
-/// count, so the combined suite provably covers every axis), then split off
-/// the holdout. Everything derives from `suite_seed` alone.
-SuiteSplit make_train_holdout_suites(const SpecSpace& space,
-                                           std::size_t train_count,
-                                           std::size_t holdout_count,
-                                           std::uint64_t suite_seed,
-                                           const std::string& name_prefix);
 
 }  // namespace autockt::spec

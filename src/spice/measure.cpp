@@ -132,9 +132,4 @@ SettlingResult measure_settling(const std::vector<double>& time,
   return r;
 }
 
-double settling_time(const std::vector<double>& time,
-                     const std::vector<double>& waveform, double tol) {
-  return measure_settling(time, waveform, tol).time;
-}
-
 }  // namespace autockt::spice

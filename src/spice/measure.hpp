@@ -39,8 +39,7 @@ double ac_crossing_freq(const std::vector<AcPoint>& sweep, std::size_t i,
 
 /// Settling measurement with an explicit trust flag.
 struct SettlingResult {
-  /// Instant from which the waveform stays within the band (same value the
-  /// legacy settling_time() scalar reported).
+  /// Instant from which the waveform stays within the band.
   double time = 0.0;
   /// True only when the window demonstrably captured settling: the waveform
   /// enters the +/- tol band around its final sample and dwells there for a
@@ -59,11 +58,5 @@ SettlingResult measure_settling(const std::vector<double>& time,
                                 const std::vector<double>& waveform,
                                 double tol = 0.02,
                                 double min_dwell_fraction = 0.05);
-
-/// Legacy scalar form: measure_settling().time. Cannot report whether the
-/// waveform actually settled — prefer measure_settling() anywhere the
-/// distinction feeds a reward or a specification.
-double settling_time(const std::vector<double>& time,
-                     const std::vector<double>& waveform, double tol = 0.02);
 
 }  // namespace autockt::spice

@@ -26,8 +26,8 @@ CsvWriter::CsvWriter(std::vector<std::string> header)
 void CsvWriter::add_row(const std::vector<double>& values) {
   std::vector<std::string> cells;
   cells.reserve(values.size());
-  // %.17g, locale-independent: SpecSuite (and anything replotting figure
-  // data) relies on strtod recovering the exact double from these cells.
+  // %.17g, locale-independent: anything replotting figure data can rely
+  // on strtod recovering the exact double from these cells.
   for (double v : values) cells.push_back(format_g17(v));
   rows_.push_back(std::move(cells));
 }

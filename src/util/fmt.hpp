@@ -1,9 +1,9 @@
 #pragma once
 // Locale-independent numeric formatting shared by every serialization path
-// that promises bitwise double round-trips (SpecSuite CSVs, figure-data
-// CSVs, the on-disk eval cache, the worker wire protocol). One definition so
-// the "%.17g through strtod recovers the exact bits" contract — and its
-// stricter sibling, the u64 bit-cast round trip — live in exactly one place.
+// that promises bitwise double round-trips (figure-data CSVs, the on-disk
+// eval cache, the worker wire protocol). One definition so the "%.17g
+// through strtod recovers the exact bits" contract — and its stricter
+// sibling, the u64 bit-cast round trip — live in exactly one place.
 
 #include <cstdint>
 #include <cstdio>

@@ -1,7 +1,8 @@
 #pragma once
 // Minimal JSON value + recursive-descent parser. Just enough for the
 // repo's own machine-readable artifacts — trace JSONL lines
-// (tests/test_trace.cpp) — with no external dependency. Objects preserve
+// (tests/test_trace.cpp) and the netlist_lint diagnostics rendering
+// (tests/test_analysis.cpp) — with no external dependency. Objects preserve
 // insertion order; numbers are doubles (exact for integers < 2^53).
 
 #include <string>

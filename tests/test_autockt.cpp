@@ -31,6 +31,23 @@ core::AutoCktConfig small_config() {
   return config;
 }
 
+/// Greedy holdout reach (retries 0, warm start off, as the holdout probe
+/// deploys) of the agent train_agent starts from under `config`: the same
+/// initial weights and holdout suite, zero PPO iterations. A trained probe
+/// rate must beat it to show learning rather than luck.
+double untrained_holdout_reach(
+    const std::shared_ptr<const circuits::SizingProblem>& prob,
+    core::AutoCktConfig config) {
+  config.ppo.max_iterations = 0;
+  const auto untrained = core::train_agent(prob, config);
+  env::EnvConfig env_config = config.env_config;
+  env_config.warm_start = false;
+  return core::deploy_agent(untrained.agent, prob, untrained.holdout_suite,
+                            env_config, /*stochastic=*/false, /*seed=*/99,
+                            /*stochastic_retries=*/0)
+      .reach_fraction();
+}
+
 }  // namespace
 
 TEST(AutoCkt, TrainDeployRoundTrip) {
@@ -148,8 +165,13 @@ TEST(AutoCkt, StochasticDeploymentAlsoWorks) {
 TEST(AutoCkt, TrainAgentProducesSuitesAndHoldoutProbe) {
   auto prob = synth();
   auto config = small_config();
+  // At horizon 15 the untrained agent already reaches 9 of 10 holdout
+  // targets. (At horizon 3 it reaches 6 of 10, but this fixed-target run
+  // then collapses to 3 of 10 after 20 iterations, so the test stays here.)
   config.holdout_target_count = 10;
   config.holdout_interval = 3;
+  const double untrained = untrained_holdout_reach(prob, config);
+  ASSERT_LT(untrained, 1.0);
   auto outcome = core::train_agent(prob, config);
 
   EXPECT_EQ(outcome.train_suite.size(), outcome.train_targets.size());
@@ -159,8 +181,9 @@ TEST(AutoCkt, TrainAgentProducesSuitesAndHoldoutProbe) {
   // The probe ran and landed in [0, 1].
   EXPECT_GE(outcome.history.final_holdout_goal_rate, 0.0);
   EXPECT_LE(outcome.history.final_holdout_goal_rate, 1.0);
-  // A trained agent on this easy problem generalizes to the holdout.
-  EXPECT_GT(outcome.history.final_holdout_goal_rate, 0.5);
+  // Training generalizes: the trained agent reaches holdout targets the
+  // untrained one misses.
+  EXPECT_GT(outcome.history.final_holdout_goal_rate, untrained);
 }
 
 TEST(AutoCkt, HoldoutProbeIsAGreedyDeployment) {
@@ -220,10 +243,17 @@ TEST(AutoCkt, CurriculumTrainingReachesHoldoutTargets) {
   auto prob = synth();
   auto config = small_config();
   config.sampling = core::AutoCktConfig::Sampling::Curriculum;
+  // At horizon 15 one or two PPO iterations already reach the whole
+  // 10-target holdout. At 3 every holdout target is still reachable (some
+  // grid point within 3 steps per axis meets it), but the untrained agent
+  // reaches only 6 of 10, so only a policy that learned closes the gap.
+  config.env_config.horizon = 3;
   config.holdout_target_count = 10;
+  const double untrained = untrained_holdout_reach(prob, config);
+  ASSERT_LT(untrained, 1.0);
   auto outcome = core::train_agent(prob, config);
   EXPECT_TRUE(outcome.train_targets.empty());  // no fixed set under curriculum
-  EXPECT_GE(outcome.history.final_holdout_goal_rate, 0.5);
+  EXPECT_GT(outcome.history.final_holdout_goal_rate, untrained);
 }
 
 TEST(Experiments, DeploySuiteIsSharedAcrossMethods) {

@@ -73,25 +73,6 @@ TEST(GeneticAlgorithm, BestParamsAreValid) {
   EXPECT_TRUE(prob.valid_params(r.best_params));
 }
 
-TEST(GeneticAlgorithm, SweepKeepsBestResult) {
-  const auto prob = synth();
-  baselines::GaConfig config;
-  config.max_evals = 3000;
-  config.seed = 9;
-  const auto best = baselines::run_ga_best_of_sweep(prob, {11.3, 4.5, 1.32},
-                                                    config, {10, 30, 60});
-  EXPECT_TRUE(best.reached);
-  // The sweep result can't be worse than a single fixed-population run
-  // with the same budget and one of the swept sizes.
-  baselines::GaConfig single = config;
-  single.population = 30;
-  single.seed = config.seed + 2000;
-  const auto one = baselines::run_ga(prob, {11.3, 4.5, 1.32}, single);
-  if (one.reached) {
-    EXPECT_LE(best.evals_to_reach, one.evals_to_reach * 3);
-  }
-}
-
 TEST(RandomAgent, EpisodeRespectsHorizon) {
   auto prob = std::make_shared<const circuits::SizingProblem>(synth());
   env::EnvConfig config;

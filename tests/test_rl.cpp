@@ -302,11 +302,13 @@ TEST(PpoAgent, HoldoutProbeRunsAtIntervalAndOnFinalIteration) {
   rl::PpoAgent agent(probe.obs_size(), probe.num_params(), config);
 
   const spec::SpecSpace space(*prob);
-  auto suites = spec::make_train_holdout_suites(space, 12, 6, 0xfeed, "t");
+  spec::UniformSampler sampler(space);
+  const auto train =
+      spec::SpecSuite::generate(space, sampler, 12, 0xfeed, "t/train");
   rl::TrainOptions options;
-  options.sampler =
-      std::make_shared<spec::SuiteSampler>(suites.train.targets());
-  options.holdout = suites.holdout;
+  options.sampler = std::make_shared<spec::SuiteSampler>(train.targets());
+  options.holdout =
+      spec::SpecSuite::generate(space, sampler, 6, 0xbeef, "t/holdout");
   options.holdout_interval = 2;
 
   const auto history = agent.train(

@@ -1,13 +1,11 @@
 // Spec-scenario subsystem tests: SpecSpace validation and region geometry,
 // the three samplers' determinism/coverage/bias contracts (including the
 // bitwise-compatibility of UniformSampler with the historical
-// env::sample_target stream), and SpecSuite generation, splitting and CSV
-// round-tripping.
+// env::sample_target stream), and SpecSuite generation and prefixes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <vector>
@@ -353,88 +351,6 @@ TEST(SpecSuite, GenerateIsDeterministicFromSuiteSeed) {
   spec::UniformSampler s3(space);
   const auto c = spec::SpecSuite::generate(space, s3, 30, 0xa11cf, "suite");
   EXPECT_NE(a.targets(), c.targets());
-}
-
-TEST(SpecSuite, SplitIsDisjointStableAndDeterministic) {
-  spec::SpecSpace space(good_specs());
-  spec::UniformSampler sampler(space);
-  const auto suite = spec::SpecSuite::generate(space, sampler, 40, 5, "s");
-  const auto split1 = suite.split(0.25, 99);
-  const auto split2 = suite.split(0.25, 99);
-  EXPECT_EQ(split1.train, split2.train);
-  EXPECT_EQ(split1.holdout, split2.holdout);
-  EXPECT_EQ(split1.train.size(), 30u);
-  EXPECT_EQ(split1.holdout.size(), 10u);
-  // Disjoint, and together they are exactly the suite (order preserved).
-  std::set<std::size_t> train_idx, holdout_idx;
-  auto index_of = [&](const SpecVector& t) {
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      if (suite[i] == t) return i;
-    }
-    return suite.size();
-  };
-  for (const auto& t : split1.train.targets()) {
-    train_idx.insert(index_of(t));
-  }
-  for (const auto& t : split1.holdout.targets()) {
-    holdout_idx.insert(index_of(t));
-  }
-  EXPECT_EQ(train_idx.size() + holdout_idx.size(), suite.size());
-  for (std::size_t i : holdout_idx) EXPECT_EQ(train_idx.count(i), 0u);
-  // A different split seed cuts differently.
-  const auto split3 = suite.split(0.25, 100);
-  EXPECT_NE(split1.holdout.targets(), split3.holdout.targets());
-}
-
-TEST(SpecSuite, TrainHoldoutProtocolIndependentOfTrainingSeed) {
-  spec::SpecSpace space(good_specs());
-  // The whole point: holdout depends on the suite seed only; nothing about
-  // a training run (its seed, its sampler draws) can perturb it.
-  const auto a = spec::make_train_holdout_suites(space, 24, 8, 0xfeed, "p");
-  const auto b = spec::make_train_holdout_suites(space, 24, 8, 0xfeed, "p");
-  EXPECT_EQ(a.train, b.train);
-  EXPECT_EQ(a.holdout, b.holdout);
-  EXPECT_EQ(a.train.size(), 24u);
-  EXPECT_EQ(a.holdout.size(), 8u);
-  const auto c = spec::make_train_holdout_suites(space, 24, 8, 0xbeef, "p");
-  EXPECT_NE(a.holdout.targets(), c.holdout.targets());
-}
-
-TEST(SpecSuite, CsvRoundTripsBitwise) {
-  spec::SpecSpace space(good_specs());
-  spec::UniformSampler sampler(space);
-  const auto suite =
-      spec::SpecSuite::generate(space, sampler, 25, 0x5eed, "round_trip");
-  const auto parsed = spec::SpecSuite::from_csv(suite.to_csv());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, suite);  // name, spec names and values, bitwise
-}
-
-TEST(SpecSuite, SaveLoadRoundTrip) {
-  spec::SpecSpace space(good_specs());
-  spec::UniformSampler sampler(space);
-  const auto suite =
-      spec::SpecSuite::generate(space, sampler, 10, 3, "file_suite");
-  const std::string path = ::testing::TempDir() + "autockt_suite_test.csv";
-  ASSERT_TRUE(suite.save(path));
-  const auto loaded = spec::SpecSuite::load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, suite);
-  std::remove(path.c_str());
-}
-
-TEST(SpecSuite, FromCsvRejectsMalformedInput) {
-  EXPECT_FALSE(spec::SpecSuite::from_csv("").ok());
-  EXPECT_FALSE(spec::SpecSuite::from_csv("# spec_suite,name=x\n").ok());
-  // Row arity mismatch.
-  EXPECT_FALSE(spec::SpecSuite::from_csv("a,b\n1.0\n").ok());
-  // Non-numeric cell.
-  EXPECT_FALSE(spec::SpecSuite::from_csv("a,b\n1.0,oops\n").ok());
-  // Valid minimal suite.
-  const auto ok = spec::SpecSuite::from_csv("a,b\n1.0,2.0\n");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->size(), 1u);
-  EXPECT_DOUBLE_EQ((*ok)[0][1], 2.0);
 }
 
 TEST(SpecSuite, HeadPrefix) {

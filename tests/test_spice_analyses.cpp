@@ -201,14 +201,14 @@ TEST(Transient, SettlingTimeOfFirstOrderStep) {
     time.push_back(t);
     wave.push_back(1.0 - std::exp(-t / tau));
   }
-  const double ts = settling_time(time, wave, 0.02);
+  const double ts = measure_settling(time, wave, 0.02).time;
   EXPECT_NEAR(ts, 3.912e-6, 0.05e-6);
 }
 
 TEST(Transient, SettlingTimeHandlesFlatWave) {
   std::vector<double> time{0.0, 1.0, 2.0};
   std::vector<double> wave{1.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(settling_time(time, wave, 0.02), 0.0);
+  EXPECT_DOUBLE_EQ(measure_settling(time, wave, 0.02).time, 0.0);
 }
 
 // ---------------------------------------------------------------- Noise
